@@ -186,11 +186,8 @@ def run_record(args) -> int:
     print(f"[{args.record}] engine micro ({engine_rounds} rounds) ...",
           flush=True)
     kwargs = {}
-    if HAVE_PERF_PKG:
-        if args.zones:
-            kwargs["zones"] = True
-        kwargs["event_queue"] = args.queue
-        kwargs["delay_mode"] = args.delay_mode
+    if HAVE_PERF_PKG and args.zones:
+        kwargs["zones"] = True
     engine = engine_benchmark(nrounds=engine_rounds, seed=args.seed,
                               **kwargs)
     print(f"  {engine['messages']} messages in {engine['wall_s']:.3f}s "
@@ -262,14 +259,6 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=4,
                         help="also time the campaign with this many "
                              "worker processes (current tree only)")
-    parser.add_argument("--queue", choices=["calendar", "heap"],
-                        default="calendar",
-                        help="engine event-queue kernel for the engine "
-                             "micro-benchmark (current tree only)")
-    parser.add_argument("--delay-mode", choices=["scalar", "burst"],
-                        default="scalar",
-                        help="engine delay-sampling mode for the engine "
-                             "micro-benchmark (current tree only)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--min-speedup", type=float, default=1.2,
                         help="--compare fails below this engine speedup")

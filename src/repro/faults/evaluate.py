@@ -139,7 +139,6 @@ def run_recovery(
     sink: EventSink | None = None,
     metrics: MetricsRegistry | None = None,
     timeseries: TimeSeriesBank | None = None,
-    event_queue: str = "calendar",
 ) -> RecoveryReport:
     """Run one policy through ``scenario`` and score its recovery.
 
@@ -162,14 +161,14 @@ def run_recovery(
         return _run_recovery_scoped(
             scenario, resync_age, algorithm_factory, horizon,
             sample_interval, ensure_interval, num_nodes, ranks_per_node,
-            network, time_source, seed, sink, metrics, bank, event_queue,
+            network, time_source, seed, sink, metrics, bank,
         )
 
 
 def _run_recovery_scoped(
     scenario, resync_age, algorithm_factory, horizon, sample_interval,
     ensure_interval, num_nodes, ranks_per_node, network, time_source,
-    seed, sink, metrics, bank, event_queue,
+    seed, sink, metrics, bank,
 ) -> RecoveryReport:
     machine = Machine(
         num_nodes=num_nodes,
@@ -195,7 +194,6 @@ def _run_recovery_scoped(
         sink=sink,
         metrics=metrics,
         timeseries=bank,
-        event_queue=event_queue,
     )
     #: rank → [(true time acquired, global clock)], newest last.
     records: dict[int, list[tuple[float, Clock]]] = {}

@@ -7,6 +7,11 @@ See :mod:`repro.perf.harness` for the workloads and the
 ring workload over rank counts with per-zone breakdowns, and
 :mod:`repro.perf.regress` (``python -m repro.perf.regress``) is the CI
 regression gate comparing the latest entry against the best prior one.
+
+``RegressionCheck`` and ``check_bench`` are re-exported lazily: importing
+:mod:`repro.perf.regress` here would put it in ``sys.modules`` before
+``python -m repro.perf.regress`` runs it as ``__main__``, which runpy
+warns about.
 """
 
 from repro.perf.harness import (
@@ -22,7 +27,6 @@ from repro.perf.harness import (
     speedup,
     upgrade_bench,
 )
-from repro.perf.regress import RegressionCheck, check_bench
 
 __all__ = [
     "BENCH_FILE",
@@ -39,3 +43,11 @@ __all__ = [
     "speedup",
     "upgrade_bench",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("RegressionCheck", "check_bench"):
+        from repro.perf import regress
+
+        return getattr(regress, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -87,8 +87,6 @@ def engine_benchmark(
     seed: int = 0,
     zones: bool = False,
     repeats: int = 1,
-    event_queue: str = "calendar",
-    delay_mode: str = "scalar",
 ) -> dict[str, Any]:
     """Time one message-heavy job; return throughput figures.
 
@@ -100,19 +98,16 @@ def engine_benchmark(
     ``zones=True`` re-runs the identical workload under a
     :class:`~repro.prof.Profiler` and attaches the per-zone breakdown
     under ``"zones"`` — a *separate* run, so the throughput numbers stay
-    unprofiled.  ``event_queue``/``delay_mode`` select the engine kernel
-    under test and are recorded in the entry, so the regression gate can
-    refuse to compare different kernels.
+    unprofiled.  The entry is stamped ``"event_queue": "calendar"``:
+    :mod:`repro.perf.regress` keys engine entries on that field and
+    reads a missing one as a legacy heap-queue measurement.
     """
     machine = ring_machine(num_nodes, ranks_per_node)
     main = _ring_main(nrounds)
     wall = None
     result = None
     for _ in range(max(1, repeats)):
-        sim = Simulation(
-            machine=machine, network=infiniband_qdr(), seed=seed,
-            event_queue=event_queue, delay_mode=delay_mode,
-        )
+        sim = Simulation(machine=machine, network=infiniband_qdr(), seed=seed)
         t0 = time.perf_counter()
         result = sim.run(main)
         elapsed = time.perf_counter() - t0
@@ -124,8 +119,7 @@ def engine_benchmark(
         "nrounds": nrounds,
         "seed": seed,
         "repeats": max(1, repeats),
-        "event_queue": event_queue,
-        "delay_mode": delay_mode,
+        "event_queue": "calendar",
         "wall_s": wall,
         "messages": result.messages,
         "msgs_per_sec": result.messages / wall if wall > 0 else 0.0,
@@ -137,7 +131,6 @@ def engine_benchmark(
         profiled_sim = Simulation(
             machine=machine, network=infiniband_qdr(), seed=seed,
             profiler=profiler,
-            event_queue=event_queue, delay_mode=delay_mode,
         )
         profiled_sim.run(_ring_main(nrounds))
         entry["zones"] = zone_breakdown(profiler)

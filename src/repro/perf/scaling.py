@@ -21,16 +21,17 @@ Results go to the ``BENCH_engine.json`` trajectory via ``--record``:
 one entry whose ``scaling`` section :mod:`repro.perf.regress` compares
 per rank count against the best prior entry.
 
-Each point records the engine's event-queue kind
-(``event_queue``), and the regression gate keys on it: a calendar-queue
-sweep never gates against a heap sweep.  ``--compare`` prints, per
+Each point is stamped ``"event_queue": "calendar"``, the engine's one
+queue; the regression gate keys on it and reads a missing field as a
+legacy heap-queue sweep, so the two never gate against each other.
+``--compare`` prints, per
 ``(workload, p)``, the speedup of the fresh sweep over the best prior
 trajectory point.
 
 CLI::
 
     python -m repro.perf.scaling [--p 32 128 512 2048 4096]
-                                 [--workload ring] [--queue calendar]
+                                 [--workload ring]
                                  [--budget 25600] [--seed 0] [--no-zones]
                                  [--label hca/8/skampi_offset/4]
                                  [--depth] [--critical-path DIR]
@@ -61,7 +62,6 @@ from repro.perf.harness import (
     ring_machine,
 )
 from repro.prof import Profiler, zone_breakdown
-from repro.simmpi.eventq import QUEUE_KINDS
 from repro.simmpi.simulation import Simulation
 
 #: Rank counts swept by default — powers of 4 up to the p >= 4096 scale
@@ -99,10 +99,7 @@ def _check_p(p: int) -> None:
         )
 
 
-def _build(
-    p: int, workload: str, budget: int, seed: int,
-    event_queue: str = "calendar", label: str = FIG3_LABEL,
-):
+def _build(p: int, workload: str, budget: int, seed: int, label: str):
     """(simulation factory, SPMD body, params dict) for one sweep point."""
     _check_p(p)
     machine = ring_machine(p // RANKS_PER_NODE, RANKS_PER_NODE)
@@ -110,7 +107,7 @@ def _build(
     def make_sim(profiler: Profiler | None = None) -> Simulation:
         return Simulation(
             machine=machine, network=infiniband_qdr(), seed=seed,
-            profiler=profiler, event_queue=event_queue,
+            profiler=profiler,
         )
 
     if workload == "ring":
@@ -125,13 +122,12 @@ def depth_probe(
     p: int,
     label: str = FIG3_LABEL,
     seed: int = 0,
-    event_queue: str = "calendar",
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     """Trace one synchronization; measure its critical-path round depth.
 
     Re-runs the fig3 workload with a causal span recorder attached
-    (which disables the engine's quiet fast path, so this stays separate
-    from the unobserved timing run) and condenses the critical-path
+    (observation costs wall time, so this stays separate from the
+    unobserved timing run) and condenses the critical-path
     analysis to the per-point fields the benchmark trajectory keeps:
     measured level depth vs the algorithm's structural bound
     (``ceil(log2 p)``-shaped for tree algorithms, ``p - 1`` for flat
@@ -145,8 +141,7 @@ def depth_probe(
     machine = ring_machine(p // RANKS_PER_NODE, RANKS_PER_NODE)
     recorder = SpanRecorder()
     sim = Simulation(
-        machine=machine, network=infiniband_qdr(), seed=seed,
-        sink=recorder, event_queue=event_queue,
+        machine=machine, network=infiniband_qdr(), seed=seed, sink=recorder
     )
     t0 = time.perf_counter()
     sim.run(_fig3_main(label))
@@ -177,19 +172,15 @@ def probe_point(
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
     zones: bool = True,
-    event_queue: str = "calendar",
     label: str = FIG3_LABEL,
 ) -> dict[str, Any]:
     """Measure one rank count: throughput (unprofiled) + zone breakdown.
 
     The timing run is unprofiled; ``zones=True`` repeats the identical
     deterministic workload under a profiler so the breakdown costs the
-    timing numbers nothing.  The point records ``event_queue`` so the
-    regression gate never compares different kernel implementations.
+    timing numbers nothing.
     """
-    make_sim, make_main, params = _build(
-        p, workload, budget, seed, event_queue=event_queue, label=label
-    )
+    make_sim, make_main, params = _build(p, workload, budget, seed, label)
     sim = make_sim()
     t0 = time.perf_counter()
     result = sim.run(make_main())
@@ -199,7 +190,7 @@ def probe_point(
         "p": p,
         "workload": workload,
         "seed": seed,
-        "event_queue": event_queue,
+        "event_queue": "calendar",
         **params,
         "wall_s": wall,
         "messages": result.messages,
@@ -225,7 +216,6 @@ def scaling_probe(
     seed: int = 0,
     zones: bool = True,
     verbose: bool = False,
-    event_queue: str = "calendar",
     label: str = FIG3_LABEL,
     depth: bool = False,
     depth_analyses: list | None = None,
@@ -242,12 +232,10 @@ def scaling_probe(
     for p in p_values:
         point = probe_point(
             p, workload=workload, budget=budget, seed=seed, zones=zones,
-            event_queue=event_queue, label=label,
+            label=label,
         )
         if depth and workload == "fig3":
-            summary, analysis = depth_probe(
-                p, label=label, seed=seed, event_queue=event_queue
-            )
+            summary, analysis = depth_probe(p, label=label, seed=seed)
             point["sync_depth"] = summary
             if depth_analyses is not None:
                 depth_analyses.append(analysis)
@@ -282,7 +270,7 @@ def scaling_probe(
         "workload": workload,
         "budget": budget,
         "seed": seed,
-        "event_queue": event_queue,
+        "event_queue": "calendar",
         "points": points,
     }
     if workload == "fig3":
@@ -349,10 +337,6 @@ def main(argv: list[str] | None = None) -> int:
         "--workload", choices=["ring", "fig3"], default="ring",
     )
     parser.add_argument(
-        "--queue", choices=list(QUEUE_KINDS), default="calendar",
-        help="event-queue kernel under test (default: calendar)",
-    )
-    parser.add_argument(
         "--budget", type=int, default=DEFAULT_BUDGET,
         help="ring workload: total messages per point "
              f"(default: {DEFAULT_BUDGET})",
@@ -407,7 +391,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=args.seed,
         zones=not args.no_zones,
         verbose=not args.json,
-        event_queue=args.queue,
         label=args.label,
         depth=args.depth,
         depth_analyses=depth_analyses,

@@ -17,20 +17,14 @@ order, which keeps shared state (per-node NIC availability, ``ANY_SOURCE``
 mailboxes) causal while still letting uncontended message chains run
 inline without queue churn.
 
-Pending events live in a pluggable queue (see :mod:`repro.simmpi.eventq`):
-the default calendar/bucket queue pays O(1) amortized per event at any
-rank count, the legacy binary heap is kept for A/B comparison.  Both pop
-in identical ``(time, seq)`` order, so the choice — like the bucket
-width — is a pure performance knob.
+Pending events live in a calendar/bucket queue (see
+:mod:`repro.simmpi.eventq`) that pays O(1) amortized per event at any
+rank count and pops in exact ``(time, seq)`` order.
 
 Determinism: queue ties are broken by a monotonic sequence number, and all
 randomness flows from per-process `numpy` generators spawned from a single
 :class:`numpy.random.SeedSequence` — identical seeds give bit-identical
-simulations.  The one gated exception is ``delay_mode="burst"``, which
-draws whole bursts of per-message delay variates as numpy arrays: it is
-deterministic per seed but consumes the uniform stream in a different
-order than the scalar path, so it is off by default and carries its own
-golden baselines.
+simulations.
 """
 
 from __future__ import annotations
@@ -46,7 +40,7 @@ from repro.obs import events as obs_events
 from repro.obs.events import EventSink
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import TimeSeriesBank
-from repro.simmpi.eventq import QUEUE_KINDS, auto_bucket_width, make_queue
+from repro.simmpi.eventq import CalendarQueue, auto_bucket_width
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, RecvDescriptor
 from repro.simmpi.network import Level, NetworkModel
 from repro.simmpi.rngpool import DEFAULT_CHUNK, UniformPool
@@ -54,12 +48,6 @@ from repro.simmpi.rngpool import DEFAULT_CHUNK, UniformPool
 if TYPE_CHECKING:  # pragma: no cover
     from repro.faults.injector import FaultInjector
     from repro.prof.core import Profiler
-
-
-#: Recognized ``delay_mode`` spellings.
-DELAY_MODES = ("scalar", "burst")
-#: Stochastic delay addends precomputed per (process, level) burst refill.
-DEFAULT_DELAY_BURST = 64
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +159,6 @@ class _Proc:
         "seed",
         "_rng",
         "pool",
-        "bursts",
         "mailbox",
         "recv_wait",
         "block_time",
@@ -202,9 +189,6 @@ class _Proc:
         #: seed) so pool prefetching never steals draws from ``rng``.
         #: Built on first send by the engine (which knows the chunk size).
         self.pool: UniformPool | None = None
-        #: Per-level burst buffers of precomputed stochastic delay
-        #: addends (``delay_mode="burst"`` only).
-        self.bursts: list[list] | None = None
         #: Messages deposited for this rank, in send order.
         self.mailbox: list[Message] = []
         self.recv_wait: RecvDescriptor | None = None
@@ -236,23 +220,7 @@ class Engine:
         injector: "FaultInjector | None" = None,
         rng_pool_chunk: int = DEFAULT_CHUNK,
         profiler: "Profiler | None" = None,
-        event_queue: str = "calendar",
-        bucket_width: float | None = None,
-        delay_mode: str = "scalar",
-        delay_burst: int = DEFAULT_DELAY_BURST,
     ) -> None:
-        if event_queue not in QUEUE_KINDS:
-            raise SimulationError(
-                f"event_queue must be one of {QUEUE_KINDS}, "
-                f"got {event_queue!r}"
-            )
-        if delay_mode not in DELAY_MODES:
-            raise SimulationError(
-                f"delay_mode must be one of {DELAY_MODES}, "
-                f"got {delay_mode!r}"
-            )
-        if delay_burst < 1:
-            raise SimulationError("delay_burst must be >= 1")
         self.network = network
         self.level_of = level_of
         #: Maps a rank to its node id; required for NIC-gap modelling.
@@ -270,13 +238,6 @@ class Engine:
             else np.random.SeedSequence(seed)
         )
         self._procs: list[_Proc] = []
-        #: Pending-event queue kind ("calendar" or "heap") and the bucket
-        #: width for the calendar kernel (None = auto from the network
-        #: model and rank count).  Both are pure performance knobs: all
-        #: kinds/widths pop events in the same (time, seq) order, which
-        #: the kernel-equivalence suite pins.
-        self.event_queue = event_queue
-        self.bucket_width = bucket_width
         self._queue = None  # built in _run(), once num_ranks is known
         self._seq = 0  # event-queue tie-break counter
         self._msg_seq = 0  # message sequence numbers (send order)
@@ -284,13 +245,6 @@ class Engine:
         #: Chunk size cap of the per-process delay-draw pools (a pure perf
         #: knob: results are bit-identical for any value, see rngpool).
         self.rng_pool_chunk = rng_pool_chunk
-        #: How per-message stochastic delays are drawn: "scalar" (default;
-        #: one pooled uniform per variate, the bit-identity baseline) or
-        #: "burst" (vectorized numpy bursts per (process, level) — same
-        #: distribution and deterministic per seed, but a different draw
-        #: order, hence gated behind this option with its own goldens).
-        self.delay_mode = delay_mode
-        self.delay_burst = int(delay_burst)
         #: Unfinished processes; the causality gate is skipped once only
         #: one process remains (no shared state left to keep causal).
         self._live = 0
@@ -302,16 +256,16 @@ class Engine:
         #: (hot-path cache; int keys hash cheaper than rank tuples).
         self._level_cache: dict[int, Level] = {}
         self._rank_stride = 0  # num_ranks snapshot for level-cache keys
-        #: True while running with every optional hook absent (no sink,
-        #: metrics, timeseries, injector, profiler, or fabric pricing):
-        #: the per-message path then dispatches to observation-free
-        #: twins of _do_send/_finish_delivery.  Same draws, same state
-        #: updates — bit-identical, just with the ~dozen hook branches
-        #: removed from the hottest call in the simulator.
+        #: True while a sink, metrics registry or timeseries bank is
+        #: attached; resolved once per run and the one flag that gates
+        #: every ``_observe_*`` call on the send/delivery path.
+        self._observed = False
+        #: Diagnostic only (selects no code): True when the run has no
+        #: hook at all — no observer, injector, profiler or fabric.
         self._quiet = False
         #: Optional observability hooks (see :mod:`repro.obs`).  Both are
-        #: passive; with ``sink=None`` the emission sites reduce to one
-        #: pointer comparison (the zero-overhead fast path).
+        #: passive; with neither (nor a timeseries bank) attached, every
+        #: observation site on the send path is one ``_observed`` test.
         self.sink = sink
         self.metrics = metrics
         #: Optional clock-health telemetry bank (see
@@ -438,21 +392,18 @@ class Engine:
         finally:
             prof.pop(start)
 
-    def _make_queue(self):
-        width = self.bucket_width
-        if width is None:
-            # One message's service window: CPU overheads plus the mean
-            # coarsest-level wire time of a minimal payload.  A p-rank
-            # job keeps ~p events inside such a window, so dividing by p
-            # keeps per-bucket occupancy roughly constant at every scale.
-            network = self.network
-            service = (
-                network.o_send
-                + network.o_recv
-                + network.expected_delay(Level.REMOTE, 8)
-            )
-            width = auto_bucket_width(service, len(self._procs))
-        return make_queue(self.event_queue, width)
+    def _new_queue(self) -> CalendarQueue:
+        # One message's service window: CPU overheads plus the mean
+        # coarsest-level wire time of a minimal payload.  A p-rank job
+        # keeps ~p events inside such a window, so dividing by p keeps
+        # per-bucket occupancy roughly constant at every scale.
+        network = self.network
+        service = (
+            network.o_send
+            + network.o_recv
+            + network.expected_delay(Level.REMOTE, 8)
+        )
+        return CalendarQueue(auto_bucket_width(service, len(self._procs)))
 
     def _run(self) -> list[Any]:
         if self.injector is not None:
@@ -473,7 +424,7 @@ class Engine:
                         "fault", event.time,
                         f"{event.kind}:{event.name}@{event.target}",
                     )
-        self._queue = queue = self._make_queue()
+        self._queue = queue = self._new_queue()
         for proc in self._procs:
             if proc.gen is None:
                 raise SimulationError(f"rank {proc.rank} has no body bound")
@@ -488,17 +439,16 @@ class Engine:
         self._level_cache.clear()
         self._rank_stride = len(self._procs)
         self._live = len(self._procs)
+        self._observed = (
+            self.sink is not None
+            or self.metrics is not None
+            or self.timeseries is not None
+        )
         self._quiet = (
-            self.sink is None
-            and self.metrics is None
-            and self.timeseries is None
+            not self._observed
             and self.injector is None
             and self.profiler is None
             and self.extra_node_latency is None
-            # Instance-level monkeypatches (the sanitizer's mutant tests
-            # replace these bound methods) must keep taking effect.
-            and "_do_send" not in self.__dict__
-            and "_finish_delivery" not in self.__dict__
         )
 
         procs = self._procs
@@ -589,14 +539,10 @@ class Engine:
         injector = self.injector
         prof = self.profiler
         send = gen.send
-        if self._quiet:
-            do_send = self._do_send_quiet
-            finish = self._finish_delivery_quiet
-        else:
-            # self.__dict__ lookups first, so instance-level monkeypatches
-            # (the mutant tests) keep intercepting the hot path.
-            do_send = self._do_send
-            finish = self._finish_delivery
+        # Bound once per activation; instance-level monkeypatches (the
+        # sanitizer's mutant tests) still intercept the hot path.
+        do_send = self._do_send
+        finish = self._finish_delivery
         while True:
             if cmd is None:
                 if prof is not None:
@@ -698,13 +644,18 @@ class Engine:
     # Point-to-point mechanics
     # ------------------------------------------------------------------
     def _do_send(self, proc: _Proc, cmd: SendCmd | SendRecvCmd) -> None:
+        """Price one message, then wake its receiver or mailbox it.
+
+        The engine's only send path.  Fault, fabric and profiler hooks
+        change or time the pricing inline; passive observation (sink,
+        metrics, timeseries) sits behind the one ``_observed`` flag, so
+        a hook-free run pays a single branch per observation site.
+        """
         if not 0 <= cmd.dest < len(self._procs):
             raise MatchingError(f"send to invalid rank {cmd.dest}")
         # Hot-path locals (one message = one _do_send call).
         network = self.network
-        sink = self.sink
-        metrics = self.metrics
-        bank = self.timeseries
+        observed = self._observed
         injector = self.injector
         prof = self.profiler
         pool = proc.pool
@@ -720,40 +671,14 @@ class Engine:
         self._msg_seq = seq + 1
         self.messages_sent += 1
         self.bytes_sent += cmd.size
-        if sink is not None:
-            t0 = prof.clock() if prof is not None else 0
-            sink.emit(obs_events.MsgSend(
-                time=send_time, rank=proc.rank, dest=cmd.dest, tag=cmd.tag,
-                size=cmd.size, seq=seq, level=level.name,
-                synchronous=cmd.synchronous,
-            ))
-            if cmd.synchronous:
-                sink.emit(obs_events.ProcBlock(
-                    time=send_time, rank=proc.rank, reason="ssend",
-                    source=cmd.dest, tag=cmd.tag,
-                ))
-            if prof is not None:
-                # Sink overhead (incl. an attached sanitizer behind a
-                # TeeSink) accounted where it is paid.
-                prof.add("obs.sink", prof.clock() - t0)
+        if observed:
+            self._observe_send(proc, cmd, seq, level)
         if cmd.synchronous:
             self.rendezvous_stalls += 1
             proc.block_time = send_time
-        if metrics is not None:
-            metrics.counter("engine.messages.sent", proc.rank).inc()
-            metrics.counter("engine.bytes.sent",
-                            proc.rank).inc(cmd.size)
-            if cmd.synchronous:
-                metrics.counter("engine.rendezvous.stalls",
-                                proc.rank).inc()
         proc.now += network.o_send
         t0 = prof.clock() if prof is not None else 0
-        if self.delay_mode == "scalar":
-            delay = network.delay_from_pool(level, cmd.size, pool)
-        else:
-            delay = network.base_delay(level, cmd.size) + self._burst_next(
-                proc, level, pool
-            )
+        delay = network.delay_from_pool(level, cmd.size, pool)
         if injector is not None:
             # Link faults: windowed degradation of the delay draw (a
             # directed fault keys on this message's (src, dst) pair).
@@ -796,25 +721,15 @@ class Engine:
                 ingress_gap = gap * injector.nic_gap_factor(
                     proc.now, dst_node
                 )
-            arrival = max(arrival, self._nic_ingress.get(dst_node, 0.0))
+            ingress_free = self._nic_ingress.get(dst_node, 0.0)
+            if ingress_free > arrival:
+                arrival = ingress_free
             self._nic_ingress[dst_node] = arrival + ingress_gap
-            if sink is not None and backlog > 0.0:
-                sink.emit(obs_events.NicQueue(
-                    time=send_time, rank=proc.rank, node=src_node,
-                    backlog=backlog, inject_time=inject,
-                ))
-            if metrics is not None:
-                metrics.histogram("engine.nic.backlog").observe(
-                    max(0.0, backlog)
-                )
-            if bank is not None and backlog > 0.0:
-                bank.sample(
-                    "engine.nic.backlog", send_time, backlog,
-                    rank=proc.rank,
-                )
+            if observed:
+                self._observe_nic(proc, send_time, src_node, backlog, inject)
         if prof is not None:
             # Delay draw + fault perturbation + NIC serialization model:
-            # the per-message network pricing (vectorized in burst mode).
+            # the per-message network pricing.
             prof.add("net.delay", prof.clock() - t0)
         payload = cmd.payload
         if injector is not None and injector.perturbs_payloads:
@@ -839,19 +754,17 @@ class Engine:
         )
         dest = self._procs[cmd.dest]
         blocked = dest.blocked
-        if isinstance(blocked, RecvDescriptor) and msg.matches(
+        if type(blocked) is RecvDescriptor and msg.matches(
             blocked.source, blocked.tag
         ):
             # Wake the receiver: it resumes once the message arrives.
             dest.blocked = None
-            dest.pending_value = None
-            resume_at = max(dest.now, msg.arrival)
+            resume_at = dest.now
+            if arrival > resume_at:
+                resume_at = arrival
             dest.now = resume_at
-            if sink is not None:
-                sink.emit(obs_events.ProcWake(
-                    time=resume_at, rank=dest.rank,
-                    cause="deliver", seq=seq,
-                ))
+            if observed:
+                self._observe_wake(dest, "deliver", seq)
             dest.pending_value = self._finish_delivery(dest, msg)
             self._schedule(dest, resume_at)
         else:
@@ -859,140 +772,9 @@ class Engine:
             depth = len(dest.mailbox)
             if depth > self.max_mailbox_depth:
                 self.max_mailbox_depth = depth
-            if metrics is not None:
-                metrics.histogram("engine.mailbox.depth",
-                                  dest.rank).observe(depth)
-
-    def _do_send_quiet(self, proc: _Proc, cmd: SendCmd | SendRecvCmd) -> None:
-        """Observation-free twin of :meth:`_do_send`.
-
-        Selected (with :meth:`_finish_delivery_quiet`) when ``_quiet`` is
-        set: no sink, metrics bank, timeseries, fault injector, profiler,
-        or fabric-pricing hook is attached.  Every RNG draw and every
-        piece of simulation state (times, NIC egress/ingress, mailboxes,
-        counters) is touched in exactly the order of the full path, so
-        results are bit-identical — only the hook branches are gone.
-        Keep the two in lockstep when changing either.
-        """
-        if not 0 <= cmd.dest < len(self._procs):
-            raise MatchingError(f"send to invalid rank {cmd.dest}")
-        network = self.network
-        pool = proc.pool
-        if pool is None:
-            pool = self._pool_of(proc)
-        level_cache = self._level_cache
-        pair = proc.rank * self._rank_stride + cmd.dest
-        level = level_cache.get(pair)
-        if level is None:
-            level = level_cache[pair] = self.level_of(proc.rank, cmd.dest)
-        send_time = proc.now
-        seq = self._msg_seq
-        self._msg_seq = seq + 1
-        self.messages_sent += 1
-        self.bytes_sent += cmd.size
-        if cmd.synchronous:
-            self.rendezvous_stalls += 1
-            proc.block_time = send_time
-        proc.now += network.o_send
-        if self.delay_mode == "scalar":
-            delay = network.delay_from_pool(level, cmd.size, pool)
-        else:
-            delay = network.base_delay(level, cmd.size) + self._burst_next(
-                proc, level, pool
-            )
-        arrival = send_time + network.o_send + delay
-        gap = network.nic_gap
-        if gap > 0.0 and level == Level.REMOTE:
-            nodes = self._node_cache
-            src_node = nodes[proc.rank]
-            inject = max(proc.now, self._nic_egress.get(src_node, 0.0))
-            self._nic_egress[src_node] = inject + gap
-            backlog = (inject - proc.now) / gap
-            cj = network.congestion_jitter
-            if cj > 0.0 and backlog > 0.0:
-                delay += cj * backlog * -log1p(-pool.next())
-            arrival = inject + gap + delay
-            dst_node = nodes[cmd.dest]
-            ingress_free = self._nic_ingress.get(dst_node, 0.0)
-            if ingress_free > arrival:
-                arrival = ingress_free
-            self._nic_ingress[dst_node] = arrival + gap
-        msg = Message(
-            source=proc.rank,
-            dest=cmd.dest,
-            tag=cmd.tag,
-            payload=cmd.payload,
-            size=cmd.size,
-            send_time=send_time,
-            arrival=arrival,
-            seq=seq,
-            sync_sender=proc if cmd.synchronous else None,
-        )
-        dest = self._procs[cmd.dest]
-        blocked = dest.blocked
-        if type(blocked) is RecvDescriptor and msg.matches(
-            blocked.source, blocked.tag
-        ):
-            dest.blocked = None
-            resume_at = dest.now
-            if msg.arrival > resume_at:
-                resume_at = msg.arrival
-            dest.now = resume_at
-            dest.pending_value = self._finish_delivery_quiet(dest, msg)
-            self._schedule(dest, resume_at)
-        else:
-            dest.mailbox.append(msg)
-            depth = len(dest.mailbox)
-            if depth > self.max_mailbox_depth:
-                self.max_mailbox_depth = depth
-
-    def _finish_delivery_quiet(self, proc: _Proc, msg: Message) -> Message:
-        """Observation-free twin of :meth:`_finish_delivery`."""
-        proc.now += self.network.o_recv
-        self.messages_delivered += 1
-        self.bytes_delivered += msg.size
-        sender = msg.sync_sender
-        if sender is not None:
-            pair = msg.dest * self._rank_stride + msg.source
-            level = self._level_cache.get(pair)
-            if level is None:
-                level = self._level_cache[pair] = self.level_of(
-                    msg.dest, msg.source
-                )
-            pool = proc.pool
-            if pool is None:
-                pool = self._pool_of(proc)
-            ack_delay = self.network.delay_from_pool(level, 8, pool)
-            resume_at = max(proc.now, msg.arrival) + ack_delay
-            sender.now = max(sender.now, resume_at)
-            sender.blocked = None
-            self._schedule(sender, sender.now)
-            msg.sync_sender = None
-        return msg
-
-    def _burst_next(
-        self, proc: _Proc, level: Level, pool: UniformPool
-    ) -> float:
-        """Next precomputed stochastic delay addend for (proc, level).
-
-        Burst mode refills a per-(process, level) buffer of
-        ``delay_burst`` addends in one vectorized pass (see
-        :meth:`NetworkModel.stochastic_burst`), then hands them out by
-        cursor.  The ack path and congestion draws stay scalar — they are
-        rare and share the pool's stream either way.
-        """
-        bursts = proc.bursts
-        if bursts is None:
-            bursts = proc.bursts = [None, None, None, None]
-        state = bursts[level]
-        if state is None or state[1] >= len(state[0]):
-            buf = self.network.stochastic_burst(
-                level, self.delay_burst, pool
-            )
-            state = bursts[level] = [buf, 0]
-        buf, idx = state
-        state[1] = idx + 1
-        return buf[idx]
+            if observed and self.metrics is not None:
+                self.metrics.histogram("engine.mailbox.depth",
+                                       dest.rank).observe(depth)
 
     def _match_mailbox(self, proc: _Proc, source: int, tag: int) -> Message | None:
         for i, msg in enumerate(proc.mailbox):
@@ -1003,7 +785,6 @@ class Engine:
 
     def _finish_delivery(self, proc: _Proc, msg: Message) -> Message:
         """Charge receive overhead and release a rendezvous sender."""
-        prof = self.profiler
         # Binding-edge detection for the causal DAG: both call paths
         # assign (never compute past) the arrival when the receiver had
         # to wait for this message, so exact equality is reliable here.
@@ -1011,21 +792,9 @@ class Engine:
         proc.now += self.network.o_recv
         self.messages_delivered += 1
         self.bytes_delivered += msg.size
-        if self.sink is not None:
-            t0 = prof.clock() if prof is not None else 0
-            self.sink.emit(obs_events.MsgDeliver(
-                time=proc.now, rank=proc.rank, source=msg.source,
-                tag=msg.tag, size=msg.size, seq=msg.seq,
-                latency=proc.now - msg.send_time,
-                arrival=msg.arrival, waited=waited,
-            ))
-            if prof is not None:
-                prof.add("obs.sink", prof.clock() - t0)
-        if self.metrics is not None:
-            self.metrics.counter("engine.messages.delivered",
-                                 proc.rank).inc()
-            self.metrics.counter("engine.bytes.delivered",
-                                 proc.rank).inc(msg.size)
+        observed = self._observed
+        if observed:
+            self._observe_deliver(proc, msg, waited)
         sender = msg.sync_sender
         if sender is not None:
             # The ack travels back; the sender resumes after its arrival.
@@ -1038,6 +807,7 @@ class Engine:
             pool = proc.pool
             if pool is None:
                 pool = self._pool_of(proc)
+            prof = self.profiler
             t0 = prof.clock() if prof is not None else 0
             ack_delay = self.network.delay_from_pool(level, 8, pool)
             if self.injector is not None:
@@ -1051,18 +821,94 @@ class Engine:
             resume_at = max(proc.now, msg.arrival) + ack_delay
             sender.now = max(sender.now, resume_at)
             sender.blocked = None
-            if self.sink is not None:
-                self.sink.emit(obs_events.ProcWake(
-                    time=sender.now, rank=sender.rank,
-                    cause="ack", seq=msg.seq,
-                ))
-            if self.metrics is not None:
-                self.metrics.histogram(
-                    "engine.rendezvous.stall_time", sender.rank
-                ).observe(sender.now - sender.block_time)
+            if observed:
+                self._observe_wake(sender, "ack", msg.seq)
             self._schedule(sender, sender.now)
             msg.sync_sender = None
         return msg
+
+    # ------------------------------------------------------------------
+    # Observation (called only while ``_observed``; never touches state)
+    # ------------------------------------------------------------------
+    def _observe_send(
+        self, proc: _Proc, cmd: SendCmd | SendRecvCmd, seq: int,
+        level: Level,
+    ) -> None:
+        sink = self.sink
+        if sink is not None:
+            prof = self.profiler
+            t0 = prof.clock() if prof is not None else 0
+            sink.emit(obs_events.MsgSend(
+                time=proc.now, rank=proc.rank, dest=cmd.dest, tag=cmd.tag,
+                size=cmd.size, seq=seq, level=level.name,
+                synchronous=cmd.synchronous,
+            ))
+            if cmd.synchronous:
+                sink.emit(obs_events.ProcBlock(
+                    time=proc.now, rank=proc.rank, reason="ssend",
+                    source=cmd.dest, tag=cmd.tag,
+                ))
+            if prof is not None:
+                # Sink overhead (incl. an attached sanitizer behind a
+                # TeeSink) accounted where it is paid.
+                prof.add("obs.sink", prof.clock() - t0)
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.counter("engine.messages.sent", proc.rank).inc()
+            metrics.counter("engine.bytes.sent", proc.rank).inc(cmd.size)
+            if cmd.synchronous:
+                metrics.counter("engine.rendezvous.stalls",
+                                proc.rank).inc()
+
+    def _observe_nic(
+        self, proc: _Proc, send_time: float, node: int, backlog: float,
+        inject: float,
+    ) -> None:
+        if self.sink is not None and backlog > 0.0:
+            self.sink.emit(obs_events.NicQueue(
+                time=send_time, rank=proc.rank, node=node,
+                backlog=backlog, inject_time=inject,
+            ))
+        if self.metrics is not None:
+            self.metrics.histogram("engine.nic.backlog").observe(
+                max(0.0, backlog)
+            )
+        if self.timeseries is not None and backlog > 0.0:
+            self.timeseries.sample(
+                "engine.nic.backlog", send_time, backlog, rank=proc.rank,
+            )
+
+    def _observe_deliver(
+        self, proc: _Proc, msg: Message, waited: bool
+    ) -> None:
+        sink = self.sink
+        if sink is not None:
+            prof = self.profiler
+            t0 = prof.clock() if prof is not None else 0
+            sink.emit(obs_events.MsgDeliver(
+                time=proc.now, rank=proc.rank, source=msg.source,
+                tag=msg.tag, size=msg.size, seq=msg.seq,
+                latency=proc.now - msg.send_time,
+                arrival=msg.arrival, waited=waited,
+            ))
+            if prof is not None:
+                prof.add("obs.sink", prof.clock() - t0)
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.counter("engine.messages.delivered", proc.rank).inc()
+            metrics.counter("engine.bytes.delivered",
+                            proc.rank).inc(msg.size)
+
+    def _observe_wake(self, proc: _Proc, cause: str, seq: int) -> None:
+        """A blocked rank resumes at ``proc.now`` (a match or an ack)."""
+        if self.sink is not None:
+            self.sink.emit(obs_events.ProcWake(
+                time=proc.now, rank=proc.rank, cause=cause, seq=seq,
+            ))
+        if cause == "ack" and self.metrics is not None:
+            self.metrics.histogram(
+                "engine.rendezvous.stall_time", proc.rank
+            ).observe(proc.now - proc.block_time)
 
     # ------------------------------------------------------------------
     # Diagnostics
@@ -1075,11 +921,7 @@ class Engine:
         """Snapshot of the engine's built-in counters.
 
         Always available (no sink or registry required); the counters are
-        plain integer adds on paths the engine executes anyway.  Counter
-        semantics are identical for every event-queue kind (the
-        kernel-equivalence tests pin this), so health reports stay
-        comparable across kernels; the kind itself is exposed as the
-        ``event_queue`` attribute, not here (stats stay int-valued).
+        plain integer adds on paths the engine executes anyway.
         """
         return {
             "num_ranks": len(self._procs),

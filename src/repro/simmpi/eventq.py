@@ -1,39 +1,33 @@
-"""Pending-event queues for the engine: legacy heap and calendar buckets.
+"""Pending-event queue for the engine: a calendar of time buckets.
 
 The engine's event loop needs three operations on the pending-event set —
 ``push``, ``pop-min`` and an exact *frontier* peek (the causality gate
 compares every command against the earliest pending event).  Events are
 ``(time, seq, rank)`` tuples where ``seq`` is a monotonic tie-breaker, so
-``(time, seq)`` is a total order and **any** implementation that pops in
-that order is observationally identical to any other: the queue kind is a
-pure performance knob, like the RNG pool chunk size.
+``(time, seq)`` is a total order and the queue must pop in exactly that
+order; the bucket width changes cost, never the order.
 
-Two kernels:
+:class:`CalendarQueue` keeps fixed-width time buckets in a sparse dict,
+with a small heap of *bucket indices* standing in for the usual overflow
+list.  Pops walk the current bucket (sorted once, lazily, per bucket) by
+cursor; pushes append to a future bucket or bisect into the current
+bucket's un-consumed remainder.  Per-event cost stays O(1) amortized
+regardless of how many events are pending, because the bucket-index heap
+sees one entry per *occupied bucket*, not per event.  (A plain binary
+heap pays O(log n) with n ~ p pending events; the property tests keep
+one as the ordering oracle.)
 
-* :class:`HeapQueue` — the original ``heapq`` binary heap.  O(log n) per
-  operation with n the pending-event count; the constant is small (C
-  heap, tuple comparisons) but grows with rank count, since a p-rank job
-  keeps ~p events pending.
-* :class:`CalendarQueue` — fixed-width time buckets held in a sparse
-  dict, with a small heap of *bucket indices* standing in for the usual
-  overflow list.  Pops walk the current bucket (sorted once, lazily, per
-  bucket) by cursor; pushes append to a future bucket or bisect into the
-  current bucket's un-consumed remainder.  Per-event cost stays O(1)
-  amortized regardless of how many events are pending, because the
-  bucket-index heap sees one entry per *occupied bucket*, not per event.
+The queue maintains ``frontier`` — the exact time of the earliest live
+event (``math.inf`` when empty) — as a plain attribute, so the engine's
+causality gate is one float comparison instead of a peek, and ``size`` —
+the live-event count — for queue-depth telemetry.
 
-Both maintain ``frontier`` — the exact time of the earliest live event
-(``math.inf`` when empty) — as a plain attribute, so the engine's
-causality gate is one float comparison instead of a heap peek, and
-``size`` — the live-event count — for queue-depth telemetry that is
-identical across kernels (satisfying the PR-4/6 health-report contract).
-
-Cancellation is lazy: :meth:`cancel` marks a sequence number dead and the
-queue discards the entry whenever it surfaces.  ``size`` drops
-immediately; ``frontier`` may transiently point at a cancelled entry
-(it is corrected by the next ``pop``), which is documented behaviour —
-the engine never gates on a cancelled wakeup's time because it only
-cancels entries it will not wait for.
+Cancellation is lazy: :meth:`CalendarQueue.cancel` marks a sequence
+number dead and the queue discards the entry whenever it surfaces.
+``size`` drops immediately; ``frontier`` may transiently point at a
+cancelled entry (it is corrected by the next ``pop``), which is
+documented behaviour — the engine never gates on a cancelled wakeup's
+time because it only cancels entries it will not wait for.
 """
 
 from __future__ import annotations
@@ -42,16 +36,7 @@ from bisect import insort
 from heapq import heappop, heappush
 from math import inf
 
-__all__ = [
-    "CalendarQueue",
-    "HeapQueue",
-    "QUEUE_KINDS",
-    "auto_bucket_width",
-    "make_queue",
-]
-
-#: Recognized ``event_queue`` spellings, in preference order.
-QUEUE_KINDS = ("calendar", "heap")
+__all__ = ["CalendarQueue", "auto_bucket_width"]
 
 #: Auto-width numerator: the calendar queue aims for a handful of events
 #: per bucket.  Pending events cluster within one per-message service
@@ -66,56 +51,11 @@ def auto_bucket_width(service_window: float, num_ranks: int) -> float:
 
     ``service_window`` is the engine's estimate of one message's service
     time (send/recv overheads plus the finest base latency); it is a
-    deterministic function of the network model, so the width — like the
-    queue kind itself — never depends on anything but the configuration.
+    deterministic function of the network model, so the width never
+    depends on anything but the configuration.
     """
     window = service_window if service_window > 0.0 else 1e-6
     return window * _TARGET_OCCUPANCY / max(1, num_ranks)
-
-
-class HeapQueue:
-    """Binary-heap event queue (the pre-calendar kernel, kept for A/B)."""
-
-    __slots__ = ("_heap", "_cancelled", "frontier", "size")
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, int]] = []
-        self._cancelled: set[int] = set()
-        self.frontier = inf
-        self.size = 0
-
-    def push(self, time: float, seq: int, rank: int) -> None:
-        heappush(self._heap, (time, seq, rank))
-        self.size += 1
-        if time < self.frontier:
-            self.frontier = time
-
-    def pop(self) -> tuple[float, int, int]:
-        heap = self._heap
-        cancelled = self._cancelled
-        while True:
-            item = heappop(heap)
-            if cancelled and item[1] in cancelled:
-                cancelled.discard(item[1])
-                continue
-            break
-        self.size -= 1
-        if heap:
-            self.frontier = heap[0][0]
-        else:
-            self.frontier = inf
-        return item
-
-    def cancel(self, seq: int) -> None:
-        """Lazily delete the entry with tie-break ``seq`` (must be live)."""
-        self._cancelled.add(seq)
-        self.size -= 1
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"HeapQueue(size={self.size}, frontier={self.frontier})"
 
 
 class CalendarQueue:
@@ -131,8 +71,8 @@ class CalendarQueue:
     Pushes that sort at or before the current remainder's tail (same
     bucket, or an earlier-bucket time that became reachable only after
     the pop that emptied its bucket) are bisected directly into the
-    remainder, which keeps pop order exactly ``(time, seq)``-sorted —
-    bit-identical to :class:`HeapQueue` for any bucket width.
+    remainder, which keeps pop order exactly ``(time, seq)``-sorted for
+    any bucket width.
     """
 
     __slots__ = (
@@ -243,14 +183,3 @@ class CalendarQueue:
             f"CalendarQueue(width={self.width}, size={self.size}, "
             f"frontier={self.frontier})"
         )
-
-
-def make_queue(kind: str, width: float = 1e-6):
-    """Instantiate an event queue by kind name (see :data:`QUEUE_KINDS`)."""
-    if kind == "calendar":
-        return CalendarQueue(width=width)
-    if kind == "heap":
-        return HeapQueue()
-    raise ValueError(
-        f"unknown event queue {kind!r}; expected one of {QUEUE_KINDS}"
-    )

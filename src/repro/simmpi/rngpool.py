@@ -56,13 +56,6 @@ class UniformPool:
     chunk cap and ramp schedule.  The buffer is a plain Python list so the
     hot path pays one list index instead of a numpy scalar extraction per
     draw.
-
-    ``take(n)`` hands out the next ``n`` variates of the same stream as a
-    numpy array (the burst-mode refill path).  Mixing ``take`` and
-    ``next`` is deterministic, but the *block structure* of draws from
-    the underlying generator then depends on the call sequence — which is
-    exactly why burst delay sampling is gated behind an explicit engine
-    option rather than on by default.
     """
 
     __slots__ = ("rng", "chunk", "_buf", "_idx", "_next_len")
@@ -90,28 +83,6 @@ class UniformPool:
             idx = 0
         self._idx = idx + 1
         return buf[idx]
-
-    def take(self, n: int) -> np.ndarray:
-        """The next ``n`` variates of the stream, as a numpy array.
-
-        Consumes any buffered remainder first, then draws the shortfall
-        directly (no over-draw): the concatenation is the same variate
-        sequence ``n`` calls to :meth:`next` would have returned, though
-        the underlying generator is exercised with different block sizes.
-        """
-        if n < 0:
-            raise ValueError("take() needs n >= 0")
-        buf = self._buf
-        idx = self._idx
-        avail = len(buf) - idx
-        if avail >= n:
-            self._idx = idx + n
-            return np.asarray(buf[idx:idx + n])
-        self._idx = len(buf)
-        fresh = self.rng.random(n - avail)
-        if avail == 0:
-            return fresh
-        return np.concatenate([np.asarray(buf[idx:]), fresh])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

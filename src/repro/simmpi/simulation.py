@@ -107,9 +107,6 @@ class Simulation:
         rng_pool_chunk: int | None = None,
         check: str | None = None,
         profiler: Profiler | None = None,
-        event_queue: str = "calendar",
-        bucket_width: float | None = None,
-        delay_mode: str = "scalar",
     ) -> None:
         """Set up the job.
 
@@ -165,16 +162,11 @@ class Simulation:
         Profiling only reads the host clock, so profiled runs are
         bit-identical to unprofiled ones.
 
-        ``event_queue`` picks the engine's pending-event kernel
-        (``"calendar"`` — default, O(1) amortized bucket queue — or
-        ``"heap"``, the legacy binary heap) and ``bucket_width`` sizes
-        the calendar buckets (None = auto).  Both are pure performance
-        knobs: every kind/width pops events in the same order, so
-        results are bit-identical (the kernel-equivalence suite pins
-        this).  ``delay_mode="burst"`` vectorizes per-message delay
-        draws; it is deterministic per seed but consumes the uniform
-        stream in a different order than the default ``"scalar"`` path,
-        so it changes results and carries its own goldens.
+        Every hook above is optional, and the engine has one send path
+        for all of them: a run with no hook at all executes the same
+        code, draws and state updates as an observed one, minus the
+        observation calls (``tests/simmpi/test_kernel_equivalence.py``
+        pins observed == unobserved end to end).
         """
         if clocks_per not in ("node", "socket", "core"):
             raise SimulationError(
@@ -251,9 +243,6 @@ class Simulation:
             timeseries=self.timeseries,
             injector=injector,
             profiler=self.profiler,
-            event_queue=event_queue,
-            bucket_width=bucket_width,
-            delay_mode=delay_mode,
             **(
                 {"rng_pool_chunk": rng_pool_chunk}
                 if rng_pool_chunk is not None

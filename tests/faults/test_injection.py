@@ -199,9 +199,9 @@ class TestEngineIntegration:
         ])
         degraded = make_sim(hot).run(body)
         assert max(degraded.values) > max(clean.values)
-        # An unused direction leaves the run byte-identical to clean
-        # (non-matching faults draw no RNG, and the injector-bearing
-        # full path is pinned bit-identical to the quiet path).
+        # An unused direction leaves the run byte-identical to clean:
+        # non-matching faults draw no RNG, and the injector only adds
+        # calls on the one send path that the clean run also takes.
         cold = FaultSchedule(name="s", faults=[
             LinkFault(start=0.0, length=100.0, latency_factor=50.0,
                       src=3, dst=2),

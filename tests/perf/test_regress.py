@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.perf.harness import BENCH_FILE, load_bench, upgrade_bench
 from repro.perf.regress import (
     DEFAULT_TOLERANCE,
@@ -239,3 +244,17 @@ class TestCli:
         path = _write(tmp_path, data)
         assert main(["--file", path]) == 0  # within default 15%
         assert main(["--file", path, "--tolerance", "0.02"]) == 1
+
+    def test_module_run_has_no_runpy_warning(self):
+        """``python -m`` must not find the module already imported."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.perf.regress", "--help"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr

@@ -46,7 +46,7 @@ def _traced_sync(nodes, rpn, seed, label):
         network=infiniband_qdr(), seed=seed,
     )
     # Identical run with the recorder attached: tracing is passive, so
-    # the simulated results must be bit-identical (quiet path or not).
+    # the simulated results must be bit-identical to the untraced run.
     from repro.cluster.topology import Machine
 
     recorder = SpanRecorder()

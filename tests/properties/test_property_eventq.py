@@ -1,4 +1,4 @@
-"""Property tests: every event-queue kernel is the same priority queue.
+"""Property tests: the calendar queue is the same priority queue as a heap.
 
 Hypothesis drives randomized operation sequences — pushes with heavy
 timestamp ties, far-future outliers that land thousands of bucket widths
@@ -15,7 +15,8 @@ and message deliveries land there routinely.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simmpi.eventq import CalendarQueue, HeapQueue
+from repro.simmpi.eventq import CalendarQueue
+from tests.eventq_reference import HeapQueue
 
 #: Operation script: each element either pushes (time-delta from the
 #: last pop, rank) or pops/cancels.  Deltas mix sub-width ties, in-bucket
@@ -35,7 +36,7 @@ _OPS = st.lists(
 
 
 def _run_script(ops, width):
-    """Drive both kernels through ``ops``; return their pop streams."""
+    """Drive both queues through ``ops``; return their pop streams."""
     cal = CalendarQueue(width=width)
     heap = HeapQueue()
     seq = 0

@@ -394,3 +394,36 @@ class TestDeterminism:
         a = self._run_once(1)
         b = self._run_once(2)
         assert [t for *_, t in a] != [t for *_, t in b]
+
+
+class TestOneSendPath:
+    def test_class_wrappers_see_every_message_of_a_hook_free_run(
+        self, monkeypatch
+    ):
+        """No hidden twin: a plain run goes through the class methods."""
+        from repro.cluster.netmodels import infiniband_qdr
+        from repro.perf.harness import _ring_main, ring_machine
+        from repro.simmpi.simulation import Simulation
+
+        calls = {"send": 0, "deliver": 0}
+        do_send = Engine._do_send
+        finish_delivery = Engine._finish_delivery
+
+        def counted_send(self, proc, cmd):
+            calls["send"] += 1
+            return do_send(self, proc, cmd)
+
+        def counted_delivery(self, proc, msg):
+            calls["deliver"] += 1
+            return finish_delivery(self, proc, msg)
+
+        monkeypatch.setattr(Engine, "_do_send", counted_send)
+        monkeypatch.setattr(Engine, "_finish_delivery", counted_delivery)
+        sim = Simulation(
+            machine=ring_machine(2, 4), network=infiniband_qdr(), seed=1
+        )
+        sim.run(_ring_main(16))
+        engine = sim.engine
+        assert engine._quiet
+        assert calls["send"] == engine.messages_sent > 0
+        assert calls["deliver"] == engine.messages_delivered > 0

@@ -1,24 +1,18 @@
-"""Unit tests for the engine's event-queue kernels.
+"""Unit tests for the engine's event queue.
 
 The contract (see ``repro.simmpi.eventq``): events are ``(time, seq,
 rank)`` with ``seq`` a monotonic tie-breaker, so ``(time, seq)`` is a
-total order and every kernel must pop in exactly that order — the queue
-kind is a pure performance knob.  These tests pin the contract directly
-on the queue objects; ``test_kernel_equivalence.py`` pins it end-to-end
-through whole simulations.
+total order and the queue must pop in exactly that order.  The contract
+tests run the calendar queue and the reference binary heap side by side,
+so the oracle the property tests trust is itself pinned here.
 """
 
 import math
 
 import pytest
 
-from repro.simmpi.eventq import (
-    QUEUE_KINDS,
-    CalendarQueue,
-    HeapQueue,
-    auto_bucket_width,
-    make_queue,
-)
+from repro.simmpi.eventq import CalendarQueue, auto_bucket_width
+from tests.eventq_reference import HeapQueue
 
 
 def drain(queue):
@@ -29,17 +23,7 @@ def drain(queue):
 
 
 class TestMakeQueue:
-    def test_kinds(self):
-        assert isinstance(make_queue("calendar"), CalendarQueue)
-        assert isinstance(make_queue("heap"), HeapQueue)
-
-    def test_unknown_kind_raises(self):
-        with pytest.raises(ValueError, match="unknown event queue"):
-            make_queue("fibonacci")
-
-    def test_kinds_constant_covers_factory(self):
-        for kind in QUEUE_KINDS:
-            assert make_queue(kind) is not None
+    """The engine makes ``CalendarQueue(auto_bucket_width(...))``."""
 
     def test_bad_width_raises(self):
         for width in (0.0, -1e-6, float("nan")):
@@ -57,25 +41,27 @@ class TestMakeQueue:
         assert auto_bucket_width(-1.0, 8) > 0.0
 
 
-@pytest.mark.parametrize("kind", QUEUE_KINDS)
+@pytest.mark.parametrize(
+    "queue_cls", [CalendarQueue, HeapQueue], ids=["calendar", "heap"]
+)
 class TestQueueContract:
-    """Behaviour every kernel must share, parametrized over kinds."""
+    """Behaviour the calendar queue shares with the reference heap."""
 
-    def test_pops_in_time_seq_order(self, kind):
-        q = make_queue(kind, width=1e-6)
+    def test_pops_in_time_seq_order(self, queue_cls):
+        q = queue_cls()
         events = [(3e-6, 0, 0), (1e-6, 1, 1), (2e-6, 2, 2), (1e-6, 3, 3)]
         for time, seq, rank in events:
             q.push(time, seq, rank)
         assert drain(q) == sorted(events)
 
-    def test_ties_break_by_seq(self, kind):
-        q = make_queue(kind, width=1e-6)
+    def test_ties_break_by_seq(self, queue_cls):
+        q = queue_cls()
         for seq in (5, 1, 3, 2, 4):
             q.push(7e-6, seq, seq)
         assert [item[1] for item in drain(q)] == [1, 2, 3, 4, 5]
 
-    def test_frontier_tracks_earliest(self, kind):
-        q = make_queue(kind, width=1e-6)
+    def test_frontier_tracks_earliest(self, queue_cls):
+        q = queue_cls()
         assert q.frontier == math.inf
         q.push(5e-6, 0, 0)
         assert q.frontier == 5e-6
@@ -86,16 +72,16 @@ class TestQueueContract:
         q.pop()
         assert q.frontier == math.inf
 
-    def test_size_and_len(self, kind):
-        q = make_queue(kind, width=1e-6)
+    def test_size_and_len(self, queue_cls):
+        q = queue_cls()
         for i in range(5):
             q.push(i * 1e-6, i, i)
         assert q.size == len(q) == 5
         q.pop()
         assert q.size == len(q) == 4
 
-    def test_cancelled_entries_never_surface(self, kind):
-        q = make_queue(kind, width=1e-6)
+    def test_cancelled_entries_never_surface(self, queue_cls):
+        q = queue_cls()
         for i in range(4):
             q.push(i * 1e-6, i, i)
         q.cancel(0)  # head of the queue
@@ -103,8 +89,8 @@ class TestQueueContract:
         assert q.size == 2
         assert [item[1] for item in drain(q)] == [1, 3]
 
-    def test_interleaved_push_pop(self, kind):
-        q = make_queue(kind, width=1e-6)
+    def test_interleaved_push_pop(self, queue_cls):
+        q = queue_cls()
         q.push(1e-6, 0, 0)
         q.push(4e-6, 1, 1)
         assert q.pop()[1] == 0
@@ -114,8 +100,8 @@ class TestQueueContract:
         q.push(3e-6, 3, 3)
         assert [item[1] for item in drain(q)] == [2, 3, 1]
 
-    def test_refill_after_empty(self, kind):
-        q = make_queue(kind, width=1e-6)
+    def test_refill_after_empty(self, queue_cls):
+        q = queue_cls()
         q.push(1e-6, 0, 0)
         assert q.pop()[1] == 0
         assert q.size == 0 and q.frontier == math.inf

@@ -1,17 +1,14 @@
-"""End-to-end kernel equivalence: the event queue is a pure perf knob.
+"""End-to-end equivalence: observing a run never changes it.
 
-``test_eventq.py`` pins the ``(time, seq)`` pop-order contract on the
-queue objects in isolation; these tests pin it through whole
-simulations.  For every workload family the repo exercises — the perf
-ring, a Fig. 3-style sync round, and a fault-recovery run — the
-``"calendar"`` and ``"heap"`` kernels (and explicit bucket widths
-spanning six orders of magnitude) must yield bit-identical results,
-engine stats, observability event streams and metrics.
-
-The one *intentional* divergence is ``delay_mode="burst"``: it draws
-each message's latency uniforms in one vectorized pass, which changes
-RNG draw *order* (not distribution).  It is gated behind an explicit
-option, deterministic per seed, and pinned by its own goldens here.
+The engine has one send path.  Observers (sink, metrics, timeseries) and
+the profiler hang off it behind checks that a hook-free run never takes,
+so an observed run must be bit-identical to an unobserved one.  These
+tests pin that through whole simulations for every workload family the
+repo exercises — the perf ring, a Fig. 3-style sync round, and a
+fault-recovery run — down to the engine stats, and check that the
+unobserved run really was hook-free (``Engine._quiet``).  The queue
+itself is pinned in isolation by ``test_eventq.py`` and the calendar
+queue property tests.
 """
 
 from __future__ import annotations
@@ -19,29 +16,30 @@ from __future__ import annotations
 import pytest
 
 from repro.cluster.netmodels import infiniband_qdr
-from repro.errors import SimulationError
 from repro.cluster.topology import Machine
 from repro.faults.evaluate import run_recovery
 from repro.faults.scenarios import make_scenario
+from repro.obs import events as obs_events
 from repro.obs.events import RecordingSink
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.timeseries import TimeSeriesBank
 from repro.perf.harness import _ring_main, ring_machine
+from repro.prof import Profiler
 from repro.simmpi.simulation import Simulation
 from repro.simtime.sources import CLOCK_GETTIME
 from repro.sync import HCA3Sync
 
 QUIET = CLOCK_GETTIME.with_(skew_walk_sigma=1e-9)
 
-#: Queue configurations that must all be observationally identical.
-#: Widths straddle the auto width from both sides: 1e-9 forces heavy
-#: bucket hopping, 1.0 degenerates to one bucket (an insort list).
-VARIANTS = [
-    ("heap", None),
-    ("calendar", None),
-    ("calendar", 1e-9),
-    ("calendar", 1e-6),
-    ("calendar", 1.0),
-]
+
+def _observers() -> dict:
+    """Every passive hook a Simulation accepts, freshly built."""
+    return {
+        "sink": RecordingSink(),
+        "metrics": MetricsRegistry(),
+        "timeseries": TimeSeriesBank(),
+        "profiler": Profiler(),
+    }
 
 
 def _sync_body(ctx, comm):
@@ -55,45 +53,32 @@ def _sync_body(ctx, comm):
     return (readings, ctx.now)
 
 
-def _run_ring(event_queue, bucket_width=None, delay_mode="scalar",
-              seed=3):
-    sink = RecordingSink()
-    metrics = MetricsRegistry()
+def _run_ring(observed: bool, seed=3):
+    hooks = _observers() if observed else {}
     sim = Simulation(
         machine=ring_machine(4, 4),
         network=infiniband_qdr(),
         seed=seed,
-        sink=sink,
-        metrics=metrics,
-        event_queue=event_queue,
-        bucket_width=bucket_width,
-        delay_mode=delay_mode,
+        **hooks,
     )
     res = sim.run(_ring_main(96))
-    return {
-        "values": res.values,
-        "stats": res.engine_stats,
-        "events": [repr(e) for e in sink.events],
-        "counters": {
-            name: metrics.merged_counter(name)
-            for name in metrics.names()
-        },
-    }
+    return {"values": res.values, "stats": res.engine_stats}, sim, hooks
 
 
-def _run_fig3(event_queue, bucket_width=None, seed=7):
+def _run_fig3(observed: bool, seed=7):
     machine = Machine(num_nodes=2, sockets_per_node=2,
                       cores_per_socket=1, ranks_per_node=2,
                       name="testbox")
     sim = Simulation(machine=machine, network=infiniband_qdr(),
                      time_source=QUIET, seed=seed,
-                     event_queue=event_queue,
-                     bucket_width=bucket_width)
+                     **(_observers() if observed else {}))
     res = sim.run(_sync_body)
     return {"values": res.values, "stats": res.engine_stats}
 
 
-def _run_fault(event_queue, seed=0):
+def _run_fault(observed: bool, seed=0):
+    hooks = _observers() if observed else {}
+    hooks.pop("profiler", None)  # run_recovery takes no profiler
     report = run_recovery(
         make_scenario("ntp_step"),
         resync_age=8.0,
@@ -101,7 +86,7 @@ def _run_fault(event_queue, seed=0):
         num_nodes=4,
         ranks_per_node=2,
         seed=seed,
-        event_queue=event_queue,
+        **hooks,
     )
     return {
         "samples": report.samples,
@@ -112,65 +97,41 @@ def _run_fault(event_queue, seed=0):
 
 class TestRingEquivalence:
     @pytest.fixture(scope="class")
-    def reference(self):
-        return _run_ring("heap")
+    def unobserved(self):
+        return _run_ring(observed=False)
 
-    @pytest.mark.parametrize(
-        "event_queue,bucket_width", VARIANTS[1:],
-        ids=lambda v: str(v),
-    )
-    def test_matches_heap(self, reference, event_queue, bucket_width):
-        assert _run_ring(event_queue, bucket_width) == reference
+    @pytest.fixture(scope="class")
+    def observed(self):
+        return _run_ring(observed=True)
 
-    def test_stats_counted_equivalently(self, reference):
-        """Bucket-queue runs count gate deferrals / depth like heap runs."""
-        stats = _run_ring("calendar")["stats"]
-        for key in ("messages_sent", "events_processed",
-                    "gate_deferrals", "max_queue_depth"):
-            assert stats[key] == reference["stats"][key]
+    def test_observed_matches_unobserved(self, unobserved, observed):
+        plain, plain_sim, _ = unobserved
+        watched, watched_sim, _ = observed
+        assert watched == plain
+        assert plain_sim.engine._quiet
+        assert not watched_sim.engine._quiet
+
+    def test_stats_counted_equivalently(self, unobserved, observed):
+        """Observers see every message the engine's counters count."""
+        stats = unobserved[0]["stats"]
+        _, _, hooks = observed
+        events = hooks["sink"].events
+        sends = sum(isinstance(e, obs_events.MsgSend) for e in events)
+        delivers = sum(isinstance(e, obs_events.MsgDeliver) for e in events)
+        assert sends == stats["messages_sent"] > 0
+        assert delivers == stats["messages_delivered"]
+        metrics = hooks["metrics"]
+        assert metrics.merged_counter("engine.messages.sent") == sends
+        assert metrics.merged_counter("engine.messages.delivered") == (
+            delivers
+        )
 
 
 class TestFig3Equivalence:
-    def test_calendar_matches_heap(self):
-        assert _run_fig3("calendar") == _run_fig3("heap")
-
-    @pytest.mark.parametrize("width", [1e-9, 1.0])
-    def test_extreme_widths_match(self, width):
-        assert _run_fig3("calendar", bucket_width=width) == \
-            _run_fig3("heap")
+    def test_observed_matches_unobserved(self):
+        assert _run_fig3(observed=True) == _run_fig3(observed=False)
 
 
 class TestFaultRecoveryEquivalence:
-    def test_calendar_matches_heap(self):
-        assert _run_fault("calendar") == _run_fault("heap")
-
-
-class TestBurstModeGating:
-    """Burst delay sampling is opt-in, divergent, and deterministic."""
-
-    def test_burst_differs_from_scalar(self):
-        # Different RNG draw order => genuinely different message
-        # timings.  (The ring's *return value* is an allreduce of ranks,
-        # timing-independent by construction, so compare event streams.)
-        scalar = _run_ring("calendar")
-        burst = _run_ring("calendar", delay_mode="burst")
-        assert burst["events"] != scalar["events"]
-        assert burst["values"] == scalar["values"]
-
-    def test_burst_is_deterministic_per_seed(self):
-        a = _run_ring("calendar", delay_mode="burst")
-        b = _run_ring("calendar", delay_mode="burst")
-        assert a == b
-
-    def test_burst_identical_across_queue_kinds(self):
-        # The divergence comes from delay_mode alone; the queue kind
-        # still never matters.
-        a = _run_ring("calendar", delay_mode="burst")
-        b = _run_ring("heap", delay_mode="burst")
-        assert a == b
-
-    def test_invalid_options_raise(self):
-        with pytest.raises(SimulationError):
-            _run_ring("fibonacci")
-        with pytest.raises(SimulationError):
-            _run_ring("calendar", delay_mode="vortex")
+    def test_observed_matches_unobserved(self):
+        assert _run_fault(observed=True) == _run_fault(observed=False)
