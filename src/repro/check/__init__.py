@@ -39,7 +39,6 @@ from repro.check.sanitizer import (
     MAX_VIOLATIONS,
     CheckReport,
     SanitizerSink,
-    TeeSink,
     Violation,
 )
 from repro.errors import InvariantViolation
@@ -50,7 +49,6 @@ __all__ = [
     "MAX_VIOLATIONS",
     "SLOPE_TOL",
     "SanitizerSink",
-    "TeeSink",
     "Violation",
     "active_check_mode",
     "append_report",

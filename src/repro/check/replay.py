@@ -14,28 +14,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, get_args
 
 from repro.errors import SimulationError
 from repro.obs import events as obs_events
 from repro.check.sanitizer import CheckReport, SanitizerSink
 
-#: name -> event class, for the JSON round-trip.
+#: name -> event class (every member of the ``Event`` union), for the
+#: JSON round-trip.
 EVENT_TYPES: dict[str, type] = {
-    cls.__name__: cls
-    for cls in (
-        obs_events.MsgSend,
-        obs_events.MsgDeliver,
-        obs_events.ProcBlock,
-        obs_events.ProcWake,
-        obs_events.NicQueue,
-        obs_events.FaultInject,
-        obs_events.ResyncRound,
-        obs_events.CollectiveEnter,
-        obs_events.CollectiveExit,
-        obs_events.PhaseBegin,
-        obs_events.PhaseEnd,
-    )
+    cls.__name__: cls for cls in get_args(obs_events.Event)
 }
 
 

@@ -472,11 +472,12 @@ class SanitizerSink:
     # ------------------------------------------------------------------
     # End-of-run checks
     # ------------------------------------------------------------------
-    def finalize(self, engine=None, spans=None) -> CheckReport:
+    def finalize(self, engine=None, spans=None, metrics=None) -> CheckReport:
         """Run the end-of-run invariants; returns the report.
 
-        ``engine`` (when given) enables the stats- and metrics-
-        consistency cross-checks against the event-stream counts;
+        ``engine`` (when given) enables the stats-consistency cross-check
+        against the event-stream counts, and ``metrics`` (the run's
+        :class:`~repro.obs.metrics.MetricsRegistry`) the metrics one;
         ``spans`` (a :class:`~repro.obs.spans.SpanRecorder`, when one is
         tee'd alongside the sanitizer) cross-validates the two
         observability layers: the recorder's open-edge count must equal
@@ -505,6 +506,8 @@ class SanitizerSink:
                 )
         if engine is not None:
             self._check_engine_consistency(engine)
+        if metrics is not None:
+            self._check_metrics_consistency(metrics)
         if spans is not None:
             self._check_span_consistency(engine, spans)
         return self.report
@@ -533,9 +536,6 @@ class SanitizerSink:
                 sends=self.sends, deliveries=self.deliveries,
                 undelivered=len(self._outstanding),
             )
-        metrics = getattr(engine, "metrics", None)
-        if metrics is not None:
-            self._check_metrics_consistency(metrics)
 
     def _check_span_consistency(self, engine, spans) -> None:
         """The span recorder and the sanitizer must agree on open edges.
@@ -582,33 +582,3 @@ class SanitizerSink:
                     counter=counter_name, counter_value=total,
                     observed=observed,
                 )
-
-
-class TeeSink:
-    """Fan one event stream out to several sinks (checker + recorder).
-
-    Forwards :meth:`deadlock_diagnosis` to the first part that offers
-    one, so a tee'd sanitizer still enriches the engine's deadlock
-    error.
-    """
-
-    def __init__(self, *parts) -> None:
-        self.parts = tuple(p for p in parts if p is not None)
-
-    def emit(self, event) -> None:
-        for part in self.parts:
-            part.emit(event)
-
-    def run_break(self) -> None:
-        """Forward run segmentation to any part that understands it."""
-        for part in self.parts:
-            brk = getattr(part, "run_break", None)
-            if brk is not None:
-                brk()
-
-    def deadlock_diagnosis(self, engine) -> str:
-        for part in self.parts:
-            fn = getattr(part, "deadlock_diagnosis", None)
-            if fn is not None:
-                return fn(engine)
-        return ""

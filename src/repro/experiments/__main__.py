@@ -44,13 +44,12 @@ import time
 from contextlib import ExitStack
 
 from repro.check.config import checking, write_aggregate
-from repro.check.sanitizer import TeeSink
 from repro.obs.causal import (
     analyze_recorder,
     format_critical_path,
     write_critical_path,
 )
-from repro.obs.events import CountingSink, default_sink
+from repro.obs.events import CountingSink, TeeSink, default_sink
 from repro.obs.health import DEPTH_METRIC, evaluate_health
 from repro.obs.spans import SpanRecorder
 from repro.obs.metrics import MetricsRegistry, default_metrics, format_summary

@@ -1,12 +1,14 @@
 """Engine-side fault application and clock wrapping.
 
-The :class:`FaultInjector` is the piece the
-:class:`~repro.simmpi.engine.Engine` consults on its hot paths: it
+The :class:`FaultInjector` is the engine's
+:class:`~repro.simmpi.policy.DeliveryPolicy` for a fault schedule: it
 perturbs network delay draws (link degradation/congestion bursts),
-scales NIC serialization gaps (backlog storms), and stretches compute
-durations (stragglers).  All perturbations are pure functions of the
-current true time plus draws from the calling process's own seeded RNG
-stream, so a scenario + seed reproduces bit-identically.
+scales NIC serialization gaps (backlog storms), stretches compute
+durations (stragglers), and publishes the schedule as
+:class:`~repro.obs.events.FaultInject` records.  All perturbations are
+pure functions of the current true time plus draws from the calling
+process's own seeded RNG stream, so a scenario + seed reproduces
+bit-identically.
 
 Clock faults are applied *before* the run, by wrapping each node's
 hardware clock via :func:`apply_clock_faults` — the engine never sees
@@ -22,6 +24,7 @@ import numpy as np
 from repro.faults.schedule import FaultSchedule
 from repro.obs.events import FaultInject
 from repro.simmpi.network import Level
+from repro.simmpi.policy import DeliveryPolicy
 from repro.simtime.hardware import HardwareClock
 from repro.simtime.perturb import ExcursionDrift, SteppedClock
 
@@ -57,19 +60,15 @@ def apply_clock_faults(
     return clock
 
 
-class FaultInjector:
+class FaultInjector(DeliveryPolicy):
     """Applies a :class:`FaultSchedule`'s engine-level faults at run time."""
-
-    #: Whether :meth:`perturb_payload` can change payloads.  The engine
-    #: only calls the payload hook when this is set, so schedules without
-    #: byzantine behaviour (this base class) skip it entirely.
-    perturbs_payloads: bool = False
 
     def __init__(
         self,
         schedule: FaultSchedule,
         node_of: Callable[[int], int] | None = None,
     ) -> None:
+        super().__init__()
         self.schedule = schedule
         self.node_of = node_of or (lambda rank: 0)
         self._links = schedule.link_faults()
@@ -137,24 +136,6 @@ class FaultInjector:
                 delay += rng.exponential(f.outlier_scale)
             self.delays_perturbed += 1
         return delay
-
-    def perturb_payload(
-        self,
-        time: float,
-        src: int,
-        dst: int,
-        tag: int,
-        payload,
-        rng: np.random.Generator,
-    ):
-        """Hook for byzantine payload tampering; identity in the base class.
-
-        The engine calls this just before constructing the message, and
-        only when :attr:`perturbs_payloads` is set — plain fault
-        schedules never reach it, keeping the unadversarial message path
-        (and its RNG stream) untouched.
-        """
-        return payload
 
     def nic_gap_factor(self, time: float, node: int) -> float:
         """Multiplier on the NIC serialization gap of ``node`` right now."""

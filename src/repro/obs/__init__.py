@@ -40,6 +40,7 @@ from repro.obs.events import (
     ProcBlock,
     ProcWake,
     RecordingSink,
+    TeeSink,
     default_sink,
     get_default_sink,
     set_default_sink,
@@ -101,6 +102,7 @@ __all__ = [
     "SpanRecorder",
     "SyncRoundRecord",
     "SyncStatsCollector",
+    "TeeSink",
     "TimeSeries",
     "TimeSeriesBank",
     "build_report",

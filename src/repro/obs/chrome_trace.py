@@ -30,6 +30,8 @@ from repro.obs.events import (
     CollectiveExit,
     Event,
     FaultInject,
+    MailboxDeposit,
+    ModelFit,
     MsgDeliver,
     MsgSend,
     NicQueue,
@@ -110,14 +112,20 @@ def engine_events_to_chrome(
     Collective enter/exit become ``"B"``/``"E"`` stacks, blocked intervals
     (``ProcBlock`` → next ``ProcWake`` of the same rank) become ``"X"``
     slices, message events become instants and NIC queueing becomes a
-    per-node counter track.  ``include_flows`` adds one ``"s"``/``"f"``
-    flow-event pair per delivered message (id = message ``seq``), which
+    per-node counter track (injections at an idle NIC are skipped, as
+    are mailbox deposits and model fits).  ``include_flows`` adds one
+    ``"s"``/``"f"`` flow-event pair per delivered message (id = message
+    ``seq``), which
     Perfetto renders as a causal arrow from the send instant to the
     delivery instant.
     """
     records: list[dict] = []
     open_blocks: dict[int, ProcBlock] = {}
     for event in events:
+        if isinstance(event, (MailboxDeposit, ModelFit)) or (
+            isinstance(event, NicQueue) and event.backlog <= 0.0
+        ):
+            continue  # metric-only records: nothing to draw
         if isinstance(event, FaultInject):
             # Fault windows live on their own track in *true* time (they
             # are scheduled against the simulation, not any rank clock).

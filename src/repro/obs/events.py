@@ -7,10 +7,13 @@ processes themselves cannot observe); :mod:`repro.obs.chrome_trace` can
 remap them through any per-rank clock to produce the "what a tracer with
 this clock would have seen" view of the paper's Fig. 10.
 
-Zero overhead when disabled: every emission site is guarded by a single
-``if sink is not None`` check, so with no sink installed the engine does
-no event-object construction at all.  Sinks must be passive — ``emit``
-must not touch the engine, draw randomness, or raise.
+The stream is the engine's only observation channel: the metrics
+registry and the time-series bank are sinks too, deriving their series
+from these records, and :class:`TeeSink` fans one stream out to several
+consumers.  Zero overhead when disabled: every emission site is guarded
+by a single ``if sink is not None`` check, so with no sink installed the
+engine does no event-object construction at all.  Sinks must be passive
+— ``emit`` must not touch the engine, draw randomness, or raise.
 """
 
 from __future__ import annotations
@@ -91,7 +94,10 @@ class ProcWake:
 
 @dataclass(frozen=True, slots=True)
 class NicQueue:
-    """A remote message found a busy NIC and queued behind ``backlog``."""
+    """A remote message passed its node's NIC (networks with a NIC gap).
+
+    ``backlog`` is 0.0 at an idle NIC; queueing views keep ``backlog > 0``.
+    """
 
     time: float
     rank: int
@@ -100,6 +106,33 @@ class NicQueue:
     backlog: float
     #: True time at which the message actually entered the wire.
     inject_time: float
+
+
+@dataclass(frozen=True, slots=True)
+class MailboxDeposit:
+    """Message ``seq`` from ``rank`` found no matching receive at ``dest``.
+
+    ``depth`` counts the unmatched messages in ``dest``'s mailbox, this
+    one included; ``time`` is the send time.
+    """
+
+    time: float
+    rank: int
+    dest: int
+    seq: int
+    depth: int
+
+
+@dataclass(frozen=True, slots=True)
+class ModelFit:
+    """A client (``rank``) fitted its drift model in a learn round."""
+
+    time: float
+    rank: int
+    slope: float
+    intercept: float
+    #: True time from the round's start to the fit.
+    duration: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,6 +232,8 @@ Event = (
     | ProcBlock
     | ProcWake
     | NicQueue
+    | MailboxDeposit
+    | ModelFit
     | FaultInject
     | ResyncRound
     | CollectiveEnter
@@ -237,6 +272,36 @@ class RecordingSink:
 
     def __len__(self) -> int:
         return len(self.events)
+
+
+class TeeSink:
+    """Fan one event stream out to several sinks, in order.
+
+    Forwards :meth:`deadlock_diagnosis` to the first part that offers
+    one, so a tee'd sanitizer still enriches the engine's deadlock
+    error.
+    """
+
+    def __init__(self, *parts) -> None:
+        self.parts = tuple(p for p in parts if p is not None)
+
+    def emit(self, event: Event) -> None:
+        for part in self.parts:
+            part.emit(event)
+
+    def run_break(self) -> None:
+        """Forward run segmentation to any part that understands it."""
+        for part in self.parts:
+            brk = getattr(part, "run_break", None)
+            if brk is not None:
+                brk()
+
+    def deadlock_diagnosis(self, engine) -> str:
+        for part in self.parts:
+            fn = getattr(part, "deadlock_diagnosis", None)
+            if fn is not None:
+                return fn(engine)
+        return ""
 
 
 class CountingSink:

@@ -1,13 +1,16 @@
 """Metrics registry: counters, gauges, histograms with per-rank labels.
 
-Naming convention (dotted, Prometheus-ish): the engine publishes
+A registry is an event sink: attached to a simulation, it derives the
+engine and sync metrics from the event stream (:meth:`MetricsRegistry.emit`)
+under dotted, Prometheus-ish names:
 
 * ``engine.messages.sent`` / ``engine.messages.delivered`` (counters),
 * ``engine.bytes.sent`` / ``engine.bytes.delivered`` (counters),
 * ``engine.nic.backlog`` (histogram of queue depths found at the NIC),
 * ``engine.mailbox.depth`` (histogram of mailbox depths at deposit),
 * ``engine.rendezvous.stalls`` (counter of blocking Ssend matches),
-* ``engine.rendezvous.stall_time`` (histogram of sender stall durations).
+* ``engine.rendezvous.stall_time`` (histogram of sender stall durations),
+* ``faults.scheduled`` (counter) and ``resync.rounds`` (per-rank counter).
 
 Metrics keyed with ``rank=`` aggregate per process; ``merged`` folds the
 per-rank series of one name into a single job-level view.  Like the event
@@ -20,6 +23,8 @@ import math
 import random
 from contextlib import contextmanager
 from typing import Iterable, Iterator
+
+from repro.obs import events as obs_events
 
 #: Fixed seed for every histogram's reservoir sampler: downsampling must
 #: be a pure function of the observation sequence so repeated runs (and
@@ -171,6 +176,40 @@ class MetricsRegistry:
         self._counters: dict[tuple[str, int | None], Counter] = {}
         self._gauges: dict[tuple[str, int | None], Gauge] = {}
         self._histograms: dict[tuple[str, int | None], Histogram] = {}
+        #: rank -> true time its pending ``ssend`` blocked at.
+        self._ssend_since: dict[int, float] = {}
+
+    def emit(self, event: obs_events.Event) -> None:
+        """Derive the engine and sync metrics from one event record."""
+        etype = type(event)
+        if etype is obs_events.MsgSend:
+            self.counter("engine.messages.sent", event.rank).inc()
+            self.counter("engine.bytes.sent", event.rank).inc(event.size)
+            if event.synchronous:
+                self.counter("engine.rendezvous.stalls", event.rank).inc()
+        elif etype is obs_events.MsgDeliver:
+            self.counter("engine.messages.delivered", event.rank).inc()
+            self.counter("engine.bytes.delivered",
+                         event.rank).inc(event.size)
+        elif etype is obs_events.NicQueue:
+            self.histogram("engine.nic.backlog").observe(event.backlog)
+        elif etype is obs_events.MailboxDeposit:
+            self.histogram("engine.mailbox.depth",
+                           event.dest).observe(event.depth)
+        elif etype is obs_events.ProcBlock:
+            if event.reason == "ssend":
+                self._ssend_since[event.rank] = event.time
+        elif etype is obs_events.ProcWake:
+            if event.cause == "ack":
+                self.histogram(
+                    "engine.rendezvous.stall_time", event.rank
+                ).observe(event.time - self._ssend_since.pop(
+                    event.rank, event.time
+                ))
+        elif etype is obs_events.FaultInject:
+            self.counter("faults.scheduled").inc()
+        elif etype is obs_events.ResyncRound:
+            self.counter("resync.rounds", event.rank).inc()
 
     # ------------------------------------------------------------------
     def counter(self, name: str, rank: int | None = None) -> Counter:

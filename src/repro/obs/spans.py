@@ -203,6 +203,13 @@ class SpanRecorder:
         elif etype is obs_events.FaultInject:
             # Scheduled a priori; its time is not part of the run span.
             return
+        elif (
+            etype is obs_events.MailboxDeposit
+            or etype is obs_events.ModelFit
+            or (etype is obs_events.NicQueue and event.backlog <= 0.0)
+        ):
+            # Metric-only records: no span, no edge, no queueing.
+            return
         rank = event.rank
         run.events += 1
         if rank >= 0:

@@ -23,6 +23,9 @@ Design points:
   time-monotonic series, and **markers** (fault injections, resync
   rounds) that the anomaly detectors in :mod:`repro.obs.health`
   correlate with the sampled error trajectories.
+* A bank is an event sink: attached to a simulation, it derives the
+  NIC backlog, drift-model, resync-age series and the fault/resync
+  markers from the event stream (:meth:`TimeSeriesBank.emit`).
 * Banks are passive and mergeable: the parallel campaign executor runs
   each job under a fresh bank and folds the per-job banks into the
   parent in submission order (the same contract as
@@ -34,6 +37,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Iterator
+
+from repro.obs import events as obs_events
 
 #: Separator between a scope prefix and the metric name in a full series
 #: name.  Metric names and scopes may contain "/" (algorithm labels do),
@@ -205,6 +210,36 @@ class TimeSeriesBank:
     ) -> None:
         """Offer one ``(time, value)`` sample to a (scoped) series."""
         self.series(name, rank).append(time, float(value))
+
+    def emit(self, event: obs_events.Event) -> None:
+        """Derive series samples and markers from one event record."""
+        etype = type(event)
+        if etype is obs_events.NicQueue:
+            if event.backlog > 0.0:
+                self.sample("engine.nic.backlog", event.time,
+                            event.backlog, rank=event.rank)
+        elif etype is obs_events.ModelFit:
+            # Drift-model trajectory + round duration for the health layer.
+            self.sample("sync.model.slope", event.time, event.slope,
+                        rank=event.rank)
+            self.sample("sync.model.intercept", event.time,
+                        event.intercept, rank=event.rank)
+            self.sample("sync.round.duration", event.time, event.duration,
+                        rank=event.rank)
+        elif etype is obs_events.ResyncRound:
+            if event.age >= 0.0:
+                self.sample("resync.age", event.time, event.age,
+                            rank=event.rank)
+            # Resync markers segment the drift-excursion detector's
+            # slope fits (see repro.obs.health).
+            self.mark("resync", event.time, f"round{event.round_index}",
+                      rank=event.rank)
+        elif etype is obs_events.FaultInject:
+            # Fault markers anchor the resync-latency detector; they are
+            # rank-agnostic (a fault hits a node/level, and the error
+            # series of every rank may react to it).
+            self.mark("fault", event.time,
+                      f"{event.kind}:{event.name}@{event.target}")
 
     def mark(
         self, name: str, time: float, label: str, rank: int | None = None

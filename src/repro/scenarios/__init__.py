@@ -5,7 +5,7 @@ package stresses exactly those assumptions.  It layers *adversaries* —
 typed, declarative misbehaviour models — on top of the fault subsystem
 (:mod:`repro.faults`), composes them into named :class:`Scenario`\\ s,
 and applies them to simulated sync campaigns through the engine's
-injector/fabric hook points:
+delivery policy (:class:`~repro.scenarios.apply.AdversaryInjector`):
 
 * :class:`~repro.scenarios.adversaries.ByzantineClockAdversary` — ranks
   that lie about timestamps during offset measurement (payload
@@ -16,8 +16,7 @@ injector/fabric hook points:
 * :class:`~repro.scenarios.adversaries.CongestionAdversary` — a
   CoDel-style bottleneck queue adding sojourn-dependent queueing delay.
 * :class:`~repro.scenarios.adversaries.RegionTopologyAdversary` —
-  region-tiered latency classes (NA/EU/AS) priced through the fabric
-  hook.
+  region-tiered latency classes (NA/EU/AS) on inter-node traffic.
 * :class:`~repro.scenarios.adversaries.ChurnAdversary` — rank churn
   between campaign rounds (topology swap per simulated mpirun).
 
@@ -37,7 +36,7 @@ from repro.scenarios.adversaries import (
     RegionTopologyAdversary,
     adversary_from_dict,
 )
-from repro.scenarios.apply import AdversaryInjector, RegionFabric
+from repro.scenarios.apply import AdversaryInjector
 from repro.scenarios.scenario import (
     PRESETS,
     Scenario,
@@ -53,7 +52,6 @@ __all__ = [
     "CongestionAdversary",
     "DelayAttackAdversary",
     "PRESETS",
-    "RegionFabric",
     "RegionTopologyAdversary",
     "Scenario",
     "adversary_from_dict",

@@ -248,8 +248,9 @@ class RegionTopologyAdversary(_AdversaryBase):
     ``cross_latency`` seconds of one-way latency — the WAN gap that
     turns a flat cluster into a geo-distributed one.  ``pair_latency``
     overrides specific region pairs (key ``"A|B"`` with the names
-    sorted), e.g. making NA↔AS slower than NA↔EU.  Applied through the
-    fabric hook, so only REMOTE (inter-node) traffic is priced.
+    sorted), e.g. making NA↔AS slower than NA↔EU.  Priced by
+    :class:`~repro.scenarios.apply.AdversaryInjector` within the active
+    window, on REMOTE (inter-node) traffic only.
     """
 
     kind: ClassVar[str] = "region_topology"

@@ -1,7 +1,8 @@
 """Engine-side application of a scenario's adversaries.
 
 :class:`AdversaryInjector` extends the fault injector
-(:class:`~repro.faults.injector.FaultInjector`) with the scenario hook
+(:class:`~repro.faults.injector.FaultInjector`), and so is the run's
+:class:`~repro.simmpi.policy.DeliveryPolicy`, with the scenario hook
 points the engine calls on its hot paths:
 
 * **link-delay perturbation keyed by (src, dst)** — delay attacks add
@@ -14,8 +15,9 @@ points the engine calls on its hot paths:
   wire (:data:`~repro.sync.offset.PINGPONG_TAG` messages), poisoning the
   offset measurements honest ranks fit their models against.
 * **region pricing** — inter-node messages crossing region boundaries
-  gain the scenario's WAN latency (only at ``Level.REMOTE``, like the
-  fabric hook).
+  gain the scenario's WAN latency within the adversary's active window
+  (only at ``Level.REMOTE``).  A simulation's fabric latency is added
+  after all of the above.
 
 All perturbations are pure functions of virtual time plus draws from the
 calling process's seeded RNG stream — a scenario + seed reproduces
@@ -227,31 +229,3 @@ class AdversaryInjector(FaultInjector):
                 self.region_delays_applied += 1
         return extra
 
-
-class RegionFabric:
-    """Fabric adapter pricing a region adversary as whole-run latency.
-
-    For plain :class:`~repro.simmpi.simulation.Simulation` runs that
-    want region tiers without an adversarial injector: wraps an optional
-    base fabric and adds the adversary's cross-region latency to every
-    inter-node pair (the fabric hook is time-free, so the adversary's
-    window is ignored — use :class:`AdversaryInjector` for windowed
-    region pricing).
-    """
-
-    def __init__(self, adversary, num_nodes: int, base=None) -> None:
-        self.adversary = adversary
-        self.num_nodes = num_nodes
-        self.base = base
-
-    def extra_latency(self, node_a: int, node_b: int) -> float:
-        extra = (
-            self.base.extra_latency(node_a, node_b)
-            if self.base is not None
-            else 0.0
-        )
-        adv = self.adversary
-        return extra + adv.latency_between(
-            adv.region_of(node_a, self.num_nodes),
-            adv.region_of(node_b, self.num_nodes),
-        )

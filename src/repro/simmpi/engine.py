@@ -38,15 +38,13 @@ import numpy as np
 from repro.errors import DeadlockError, MatchingError, SimulationError
 from repro.obs import events as obs_events
 from repro.obs.events import EventSink
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.timeseries import TimeSeriesBank
 from repro.simmpi.eventq import CalendarQueue, auto_bucket_width
 from repro.simmpi.message import ANY_SOURCE, ANY_TAG, Message, RecvDescriptor
 from repro.simmpi.network import Level, NetworkModel
+from repro.simmpi.policy import DeliveryPolicy
 from repro.simmpi.rngpool import DEFAULT_CHUNK, UniformPool
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.faults.injector import FaultInjector
     from repro.prof.core import Profiler
 
 
@@ -160,8 +158,6 @@ class _Proc:
         "_rng",
         "pool",
         "mailbox",
-        "recv_wait",
-        "block_time",
     )
 
     def __init__(self, rank: int, seed: np.random.SeedSequence) -> None:
@@ -191,9 +187,6 @@ class _Proc:
         self.pool: UniformPool | None = None
         #: Messages deposited for this rank, in send order.
         self.mailbox: list[Message] = []
-        self.recv_wait: RecvDescriptor | None = None
-        #: True time at which the process last blocked (diagnostics).
-        self.block_time = 0.0
 
     def get_rng(self) -> np.random.Generator:
         """The algorithm-visible random stream, built on first use."""
@@ -213,11 +206,8 @@ class Engine:
         seed: int | np.random.SeedSequence = 0,
         max_true_time: float = 1e7,
         node_of: Callable[[int], int] | None = None,
-        extra_node_latency: Callable[[int, int], float] | None = None,
         sink: EventSink | None = None,
-        metrics: MetricsRegistry | None = None,
-        timeseries: TimeSeriesBank | None = None,
-        injector: "FaultInjector | None" = None,
+        policy: DeliveryPolicy | None = None,
         rng_pool_chunk: int = DEFAULT_CHUNK,
         profiler: "Profiler | None" = None,
     ) -> None:
@@ -225,9 +215,24 @@ class Engine:
         self.level_of = level_of
         #: Maps a rank to its node id; required for NIC-gap modelling.
         self.node_of = node_of or (lambda rank: 0)
-        #: Fabric hook: extra one-way latency between two *nodes* (torus
-        #: hop costs etc.); applied to REMOTE messages only.
-        self.extra_node_latency = extra_node_latency
+        #: The single observer (see :mod:`repro.obs.events`): passive,
+        #: with ``None`` every emission site is one pointer comparison.
+        self.sink = sink
+        #: The single delivery policy (see :mod:`repro.simmpi.policy`);
+        #: ``None`` prices every message from the network model alone.
+        self.policy = policy
+        # Hooks resolved once: identity hooks stay None and are skipped.
+        resolved = policy if policy is not None else DeliveryPolicy()
+        self._perturb_delay = resolved.hook("perturb_delay")
+        self._nic_gap_factor = resolved.hook("nic_gap_factor")
+        self._perturb_compute = resolved.hook("perturb_compute")
+        self._perturb_payload = resolved.hook("perturb_payload")
+        fabric = resolved.fabric
+        #: The policy's fabric pricing: extra one-way latency between two
+        #: *nodes* (torus hop costs etc.), for REMOTE data messages only.
+        self.extra_node_latency = (
+            fabric.extra_latency if fabric is not None else None
+        )
         #: Per-node NIC next-free times (egress and ingress serialization).
         self._nic_egress: dict[int, float] = {}
         self._nic_ingress: dict[int, float] = {}
@@ -256,25 +261,9 @@ class Engine:
         #: (hot-path cache; int keys hash cheaper than rank tuples).
         self._level_cache: dict[int, Level] = {}
         self._rank_stride = 0  # num_ranks snapshot for level-cache keys
-        #: True while a sink, metrics registry or timeseries bank is
-        #: attached; resolved once per run and the one flag that gates
-        #: every ``_observe_*`` call on the send/delivery path.
-        self._observed = False
         #: Diagnostic only (selects no code): True when the run has no
-        #: hook at all — no observer, injector, profiler or fabric.
+        #: hook at all — no observer, policy or profiler.
         self._quiet = False
-        #: Optional observability hooks (see :mod:`repro.obs`).  Both are
-        #: passive; with neither (nor a timeseries bank) attached, every
-        #: observation site on the send path is one ``_observed`` test.
-        self.sink = sink
-        self.metrics = metrics
-        #: Optional clock-health telemetry bank (see
-        #: :mod:`repro.obs.timeseries`); same passivity contract.
-        self.timeseries = timeseries
-        #: Optional fault injector (see :mod:`repro.faults`): perturbs
-        #: delay draws, NIC gaps, and compute intervals at scheduled true
-        #: times.  ``None`` keeps every hot path on its fault-free branch.
-        self.injector = injector
         #: Optional wall-time self-profiler (see :mod:`repro.prof`).
         #: Profiling only reads the host clock — it never draws
         #: randomness or advances virtual time, so profiled runs are
@@ -406,24 +395,13 @@ class Engine:
         return CalendarQueue(auto_bucket_width(service, len(self._procs)))
 
     def _run(self) -> list[Any]:
-        if self.injector is not None:
+        sink = self.sink
+        policy = self.policy
+        if sink is not None and policy is not None:
             # The schedule is known a priori: emit one record per fault
             # so traces show fault windows at their exact virtual times.
-            events = self.injector.schedule_events()
-            if self.sink is not None:
-                for event in events:
-                    self.sink.emit(event)
-            if self.metrics is not None and events:
-                self.metrics.counter("faults.scheduled").inc(len(events))
-            if self.timeseries is not None:
-                # Fault markers anchor the resync-latency detector; they
-                # are rank-agnostic (a fault hits a node/level, and the
-                # error series of every rank may react to it).
-                for event in events:
-                    self.timeseries.mark(
-                        "fault", event.time,
-                        f"{event.kind}:{event.name}@{event.target}",
-                    )
+            for event in policy.schedule_events():
+                sink.emit(event)
         self._queue = queue = self._new_queue()
         for proc in self._procs:
             if proc.gen is None:
@@ -439,21 +417,12 @@ class Engine:
         self._level_cache.clear()
         self._rank_stride = len(self._procs)
         self._live = len(self._procs)
-        self._observed = (
-            self.sink is not None
-            or self.metrics is not None
-            or self.timeseries is not None
-        )
         self._quiet = (
-            not self._observed
-            and self.injector is None
-            and self.profiler is None
-            and self.extra_node_latency is None
+            sink is None and policy is None and self.profiler is None
         )
 
         procs = self._procs
         max_true_time = self.max_true_time
-        bank = self.timeseries
         pop = queue.pop
         events = 0
         max_depth = self.max_queue_depth
@@ -464,16 +433,6 @@ class Engine:
                 depth = queue.size
                 if depth > max_depth:
                     max_depth = depth
-                if bank is not None and not events & 63:
-                    # Event-queue pressure telemetry: sampled every 64
-                    # pops so health reports can show queue depth next to
-                    # NIC backlog without touching the per-event cost.
-                    bank.sample(
-                        "engine.events.queue_depth", t, float(depth)
-                    )
-                    bank.sample(
-                        "engine.events.processed", t, float(events)
-                    )
                 proc = procs[rank]
                 if proc.finished:
                     continue
@@ -536,7 +495,7 @@ class Engine:
         queue = self._queue
         gate = self._live > 1
         sink = self.sink
-        injector = self.injector
+        perturb_compute = self._perturb_compute
         prof = self.profiler
         send = gen.send
         # Bound once per activation; instance-level monkeypatches (the
@@ -597,7 +556,6 @@ class Engine:
                     proc.blocked = RecvDescriptor(
                         proc.rank, cmd.source, cmd.tag, proc.now
                     )
-                    proc.block_time = proc.now
                     if sink is not None:
                         sink.emit(obs_events.ProcBlock(
                             time=proc.now, rank=proc.rank, reason="recv",
@@ -627,9 +585,9 @@ class Engine:
             elif cls is ElapseCmd:
                 # duration >= 0 is guaranteed by ElapseCmd construction.
                 duration = cmd.duration
-                if injector is not None and duration > 0.0:
+                if perturb_compute is not None and duration > 0.0:
                     # Straggler faults: compute runs slower in the window.
-                    duration = injector.perturb_compute(
+                    duration = perturb_compute(
                         proc.now, proc.rank, duration, proc.get_rng()
                     )
                 proc.now += duration
@@ -646,17 +604,15 @@ class Engine:
     def _do_send(self, proc: _Proc, cmd: SendCmd | SendRecvCmd) -> None:
         """Price one message, then wake its receiver or mailbox it.
 
-        The engine's only send path.  Fault, fabric and profiler hooks
-        change or time the pricing inline; passive observation (sink,
-        metrics, timeseries) sits behind the one ``_observed`` flag, so
-        a hook-free run pays a single branch per observation site.
+        The engine's only send path.  The delivery policy's resolved
+        hooks change the pricing inline, the profiler times it, and the
+        sink observes it; each is one ``None`` test when absent.
         """
         if not 0 <= cmd.dest < len(self._procs):
             raise MatchingError(f"send to invalid rank {cmd.dest}")
         # Hot-path locals (one message = one _do_send call).
         network = self.network
-        observed = self._observed
-        injector = self.injector
+        sink = self.sink
         prof = self.profiler
         pool = proc.pool
         if pool is None:
@@ -671,18 +627,26 @@ class Engine:
         self._msg_seq = seq + 1
         self.messages_sent += 1
         self.bytes_sent += cmd.size
-        if observed:
-            self._observe_send(proc, cmd, seq, level)
+        if sink is not None:
+            sink.emit(obs_events.MsgSend(
+                time=send_time, rank=proc.rank, dest=cmd.dest, tag=cmd.tag,
+                size=cmd.size, seq=seq, level=level.name,
+                synchronous=cmd.synchronous,
+            ))
+            if cmd.synchronous:
+                sink.emit(obs_events.ProcBlock(
+                    time=send_time, rank=proc.rank, reason="ssend",
+                    source=cmd.dest, tag=cmd.tag,
+                ))
         if cmd.synchronous:
             self.rendezvous_stalls += 1
-            proc.block_time = send_time
         proc.now += network.o_send
         t0 = prof.clock() if prof is not None else 0
         delay = network.delay_from_pool(level, cmd.size, pool)
-        if injector is not None:
-            # Link faults: windowed degradation of the delay draw (a
-            # directed fault keys on this message's (src, dst) pair).
-            delay = injector.perturb_delay(
+        if self._perturb_delay is not None:
+            # Link faults and adversaries: windowed degradation of the
+            # delay draw, keyed on this message's (src, dst) pair.
+            delay = self._perturb_delay(
                 send_time, level, delay, proc.get_rng(),
                 src=proc.rank, dst=cmd.dest,
             )
@@ -698,13 +662,12 @@ class Engine:
         gap = network.nic_gap
         if gap > 0.0 and level == Level.REMOTE:
             # Egress: messages leaving a node serialize at its NIC.
+            nic_gap_factor = self._nic_gap_factor
             src_node = nodes[proc.rank]
             egress_gap = gap
-            if injector is not None:
+            if nic_gap_factor is not None:
                 # NIC storm faults: the serialization gap grows.
-                egress_gap = gap * injector.nic_gap_factor(
-                    proc.now, src_node
-                )
+                egress_gap = gap * nic_gap_factor(proc.now, src_node)
             inject = max(proc.now, self._nic_egress.get(src_node, 0.0))
             self._nic_egress[src_node] = inject + egress_gap
             # Congestion: delay variance grows with the backlog this
@@ -717,27 +680,26 @@ class Engine:
             # Ingress: arrivals at the destination node serialize too.
             dst_node = nodes[cmd.dest]
             ingress_gap = gap
-            if injector is not None:
-                ingress_gap = gap * injector.nic_gap_factor(
-                    proc.now, dst_node
-                )
+            if nic_gap_factor is not None:
+                ingress_gap = gap * nic_gap_factor(proc.now, dst_node)
             ingress_free = self._nic_ingress.get(dst_node, 0.0)
             if ingress_free > arrival:
                 arrival = ingress_free
             self._nic_ingress[dst_node] = arrival + ingress_gap
-            if observed:
-                self._observe_nic(proc, send_time, src_node, backlog, inject)
+            if sink is not None:
+                sink.emit(obs_events.NicQueue(
+                    time=send_time, rank=proc.rank, node=src_node,
+                    backlog=backlog, inject_time=inject,
+                ))
         if prof is not None:
             # Delay draw + fault perturbation + NIC serialization model:
             # the per-message network pricing.
             prof.add("net.delay", prof.clock() - t0)
         payload = cmd.payload
-        if injector is not None and injector.perturbs_payloads:
+        if self._perturb_payload is not None:
             # Byzantine adversaries: the sender's wire payload may lie
-            # (timestamp tampering at the sync-message boundary).  Only
-            # adversarial injectors set the flag, so plain fault
-            # schedules never pay for (or draw RNG in) this hook.
-            payload = injector.perturb_payload(
+            # (timestamp tampering at the sync-message boundary).
+            payload = self._perturb_payload(
                 send_time, proc.rank, cmd.dest, cmd.tag, payload,
                 proc.get_rng(),
             )
@@ -763,8 +725,10 @@ class Engine:
             if arrival > resume_at:
                 resume_at = arrival
             dest.now = resume_at
-            if observed:
-                self._observe_wake(dest, "deliver", seq)
+            if sink is not None:
+                sink.emit(obs_events.ProcWake(
+                    time=resume_at, rank=dest.rank, cause="deliver", seq=seq,
+                ))
             dest.pending_value = self._finish_delivery(dest, msg)
             self._schedule(dest, resume_at)
         else:
@@ -772,9 +736,11 @@ class Engine:
             depth = len(dest.mailbox)
             if depth > self.max_mailbox_depth:
                 self.max_mailbox_depth = depth
-            if observed and self.metrics is not None:
-                self.metrics.histogram("engine.mailbox.depth",
-                                       dest.rank).observe(depth)
+            if sink is not None:
+                sink.emit(obs_events.MailboxDeposit(
+                    time=send_time, rank=proc.rank, dest=dest.rank,
+                    seq=seq, depth=depth,
+                ))
 
     def _match_mailbox(self, proc: _Proc, source: int, tag: int) -> Message | None:
         for i, msg in enumerate(proc.mailbox):
@@ -792,12 +758,19 @@ class Engine:
         proc.now += self.network.o_recv
         self.messages_delivered += 1
         self.bytes_delivered += msg.size
-        observed = self._observed
-        if observed:
-            self._observe_deliver(proc, msg, waited)
+        sink = self.sink
+        if sink is not None:
+            sink.emit(obs_events.MsgDeliver(
+                time=proc.now, rank=proc.rank, source=msg.source,
+                tag=msg.tag, size=msg.size, seq=msg.seq,
+                latency=proc.now - msg.send_time,
+                arrival=msg.arrival, waited=waited,
+            ))
         sender = msg.sync_sender
         if sender is not None:
             # The ack travels back; the sender resumes after its arrival.
+            # Acks take the link perturbation but neither fabric pricing
+            # nor NIC serialization (a modelling shortcut, DESIGN.md §6).
             pair = msg.dest * self._rank_stride + msg.source
             level = self._level_cache.get(pair)
             if level is None:
@@ -810,9 +783,9 @@ class Engine:
             prof = self.profiler
             t0 = prof.clock() if prof is not None else 0
             ack_delay = self.network.delay_from_pool(level, 8, pool)
-            if self.injector is not None:
+            if self._perturb_delay is not None:
                 # The ack travels receiver → original sender.
-                ack_delay = self.injector.perturb_delay(
+                ack_delay = self._perturb_delay(
                     proc.now, level, ack_delay, proc.get_rng(),
                     src=msg.dest, dst=msg.source,
                 )
@@ -821,94 +794,14 @@ class Engine:
             resume_at = max(proc.now, msg.arrival) + ack_delay
             sender.now = max(sender.now, resume_at)
             sender.blocked = None
-            if observed:
-                self._observe_wake(sender, "ack", msg.seq)
+            if sink is not None:
+                sink.emit(obs_events.ProcWake(
+                    time=sender.now, rank=sender.rank, cause="ack",
+                    seq=msg.seq,
+                ))
             self._schedule(sender, sender.now)
             msg.sync_sender = None
         return msg
-
-    # ------------------------------------------------------------------
-    # Observation (called only while ``_observed``; never touches state)
-    # ------------------------------------------------------------------
-    def _observe_send(
-        self, proc: _Proc, cmd: SendCmd | SendRecvCmd, seq: int,
-        level: Level,
-    ) -> None:
-        sink = self.sink
-        if sink is not None:
-            prof = self.profiler
-            t0 = prof.clock() if prof is not None else 0
-            sink.emit(obs_events.MsgSend(
-                time=proc.now, rank=proc.rank, dest=cmd.dest, tag=cmd.tag,
-                size=cmd.size, seq=seq, level=level.name,
-                synchronous=cmd.synchronous,
-            ))
-            if cmd.synchronous:
-                sink.emit(obs_events.ProcBlock(
-                    time=proc.now, rank=proc.rank, reason="ssend",
-                    source=cmd.dest, tag=cmd.tag,
-                ))
-            if prof is not None:
-                # Sink overhead (incl. an attached sanitizer behind a
-                # TeeSink) accounted where it is paid.
-                prof.add("obs.sink", prof.clock() - t0)
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("engine.messages.sent", proc.rank).inc()
-            metrics.counter("engine.bytes.sent", proc.rank).inc(cmd.size)
-            if cmd.synchronous:
-                metrics.counter("engine.rendezvous.stalls",
-                                proc.rank).inc()
-
-    def _observe_nic(
-        self, proc: _Proc, send_time: float, node: int, backlog: float,
-        inject: float,
-    ) -> None:
-        if self.sink is not None and backlog > 0.0:
-            self.sink.emit(obs_events.NicQueue(
-                time=send_time, rank=proc.rank, node=node,
-                backlog=backlog, inject_time=inject,
-            ))
-        if self.metrics is not None:
-            self.metrics.histogram("engine.nic.backlog").observe(
-                max(0.0, backlog)
-            )
-        if self.timeseries is not None and backlog > 0.0:
-            self.timeseries.sample(
-                "engine.nic.backlog", send_time, backlog, rank=proc.rank,
-            )
-
-    def _observe_deliver(
-        self, proc: _Proc, msg: Message, waited: bool
-    ) -> None:
-        sink = self.sink
-        if sink is not None:
-            prof = self.profiler
-            t0 = prof.clock() if prof is not None else 0
-            sink.emit(obs_events.MsgDeliver(
-                time=proc.now, rank=proc.rank, source=msg.source,
-                tag=msg.tag, size=msg.size, seq=msg.seq,
-                latency=proc.now - msg.send_time,
-                arrival=msg.arrival, waited=waited,
-            ))
-            if prof is not None:
-                prof.add("obs.sink", prof.clock() - t0)
-        metrics = self.metrics
-        if metrics is not None:
-            metrics.counter("engine.messages.delivered", proc.rank).inc()
-            metrics.counter("engine.bytes.delivered",
-                            proc.rank).inc(msg.size)
-
-    def _observe_wake(self, proc: _Proc, cause: str, seq: int) -> None:
-        """A blocked rank resumes at ``proc.now`` (a match or an ack)."""
-        if self.sink is not None:
-            self.sink.emit(obs_events.ProcWake(
-                time=proc.now, rank=proc.rank, cause=cause, seq=seq,
-            ))
-        if cause == "ack" and self.metrics is not None:
-            self.metrics.histogram(
-                "engine.rendezvous.stall_time", proc.rank
-            ).observe(proc.now - proc.block_time)
 
     # ------------------------------------------------------------------
     # Diagnostics

@@ -36,18 +36,19 @@ from repro.check.config import (
     append_report,
     check_report_dir,
 )
-from repro.check.sanitizer import CheckReport, SanitizerSink, TeeSink
+from repro.check.sanitizer import CheckReport, SanitizerSink
 from repro.cluster.topology import Machine
 from repro.errors import SimulationError
 from repro.faults.injector import FaultInjector, apply_clock_faults
 from repro.faults.schedule import FaultSchedule
-from repro.obs.events import EventSink, get_default_sink
+from repro.obs.events import EventSink, TeeSink, get_default_sink
 from repro.obs.metrics import MetricsRegistry, get_default_metrics
 from repro.obs.timeseries import TimeSeriesBank, get_default_timeseries
 from repro.prof.core import Profiler, get_default_profiler
 from repro.simmpi.comm import Communicator
 from repro.simmpi.engine import Engine
 from repro.simmpi.network import NetworkModel
+from repro.simmpi.policy import DeliveryPolicy
 from repro.simmpi.process import ProcessContext
 from repro.simtime.hardware import HardwareClock
 from repro.simtime.sources import CLOCK_GETTIME, TimeSourceSpec, make_clock
@@ -124,7 +125,10 @@ class Simulation:
         :mod:`repro.obs`); when omitted, the process-wide defaults
         installed via ``repro.obs.set_default_sink`` /
         ``set_default_metrics`` / ``set_default_timeseries`` apply.
-        Observation is passive — results are bit-identical either way.
+        With the sanitizer (below) they form the engine's one observer,
+        tee'd when several are attached; the registry and the bank derive
+        their series from the event stream.  Observation is passive —
+        results are bit-identical either way.
 
         ``faults`` injects a scheduled disturbance scenario (see
         :mod:`repro.faults`): clock faults wrap the affected node clocks
@@ -136,7 +140,9 @@ class Simulation:
         (:mod:`repro.scenarios`) passes a subclass here that adds delay
         attacks, byzantine payload tampering, and congestion queueing on
         top of the plain fault hooks.  When given, it is used as-is
-        (``faults`` still wraps clocks and is validated).
+        (``faults`` still wraps clocks and is validated).  The injector,
+        with ``fabric`` installed on it, is the engine's one
+        :class:`~repro.simmpi.policy.DeliveryPolicy`.
 
         ``seed`` may be a plain integer or a ``numpy.random.SeedSequence``
         (e.g. a child spawned by the parallel campaign executor); engine
@@ -162,11 +168,11 @@ class Simulation:
         Profiling only reads the host clock, so profiled runs are
         bit-identical to unprofiled ones.
 
-        Every hook above is optional, and the engine has one send path
-        for all of them: a run with no hook at all executes the same
-        code, draws and state updates as an observed one, minus the
-        observation calls (``tests/simmpi/test_kernel_equivalence.py``
-        pins observed == unobserved end to end).
+        The engine takes three hooks — observer, policy, profiler — and
+        has one send path for all of them: a run with no hook at all
+        executes the same code, draws and state updates as an observed
+        one, minus the emit calls (``tests/simmpi/
+        test_kernel_equivalence.py`` pins observed == unobserved).
         """
         if clocks_per not in ("node", "socket", "core"):
             raise SimulationError(
@@ -209,12 +215,13 @@ class Simulation:
                 num_nodes=machine.num_nodes,
                 horizon=self.max_true_time,
             )
-        if injector is None:
-            injector = (
-                FaultInjector(faults, node_of=machine.node_of)
-                if faults is not None and len(faults)
-                else None
-            )
+        policy = injector
+        if policy is None and faults is not None and len(faults):
+            policy = FaultInjector(faults, node_of=machine.node_of)
+        if policy is not None:
+            policy.fabric = fabric
+        elif fabric is not None:
+            policy = DeliveryPolicy(fabric)
         self.checker: SanitizerSink | None = None
         mode = check if check is not None else active_check_mode()
         if mode:
@@ -222,26 +229,16 @@ class Simulation:
                 mode=mode,
                 label=f"{machine.name}[{machine.num_ranks} ranks]",
             )
-            engine_sink = (
-                TeeSink(self.checker, self.sink)
-                if self.sink is not None
-                else self.checker
-            )
-        else:
-            engine_sink = self.sink
+        # One observer: a tee of several consumers, the lone one, or None.
+        tee = TeeSink(self.checker, self.sink, self.metrics, self.timeseries)
         self.engine = Engine(
             network=network,
             level_of=machine.level_between,
             seed=engine_seed,
             max_true_time=max_true_time,
             node_of=machine.node_of,
-            extra_node_latency=(
-                fabric.extra_latency if fabric is not None else None
-            ),
-            sink=engine_sink,
-            metrics=self.metrics,
-            timeseries=self.timeseries,
-            injector=injector,
+            sink=tee if len(tee.parts) > 1 else next(iter(tee.parts), None),
+            policy=policy,
             profiler=self.profiler,
             **(
                 {"rng_pool_chunk": rng_pool_chunk}
@@ -340,7 +337,8 @@ class Simulation:
         if self.checker is not None:
             start = prof.push("check.finalize") if prof is not None else 0
             report = self.checker.finalize(
-                self.engine, spans=self._span_recorder()
+                self.engine, spans=self._span_recorder(),
+                metrics=self.metrics,
             )
             if self.checker.mode == "report":
                 out_dir = check_report_dir()

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Generator
 
 from repro.errors import SyncError
-from repro.obs.events import PhaseBegin, PhaseEnd
+from repro.obs.events import ModelFit, PhaseBegin, PhaseEnd
 from repro.obs.sync_stats import (
     FitpointSample,
     SyncRoundRecord,
@@ -144,20 +144,12 @@ def learn_clock_model(
     lm = LinearDriftModel.fit(xfit, yfit)
     if prof is not None:
         prof.pop(t_fit)
-    bank = comm.ctx.engine.timeseries
-    if bank is not None:
-        # Drift-model trajectory + round duration for the health layer.
-        # Passive (no clock reads, no randomness) like the stats path.
+    if sink is not None:
         now = comm.ctx.now
-        global_client = comm.global_rank(client)
-        bank.sample("sync.model.slope", now, lm.slope, rank=global_client)
-        bank.sample(
-            "sync.model.intercept", now, lm.intercept, rank=global_client
-        )
-        bank.sample(
-            "sync.round.duration", now, now - t_round_start,
-            rank=global_client,
-        )
+        sink.emit(ModelFit(
+            time=now, rank=comm.ctx.rank, slope=lm.slope,
+            intercept=lm.intercept, duration=now - t_round_start,
+        ))
     if stats is not None:
         residuals = tuple(
             y - lm.offset_at(x) for x, y in zip(xfit, yfit)

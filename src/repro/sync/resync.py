@@ -104,11 +104,11 @@ class ResyncClock(abc.ABC):
             )
         self.last_age = age
         if stale:
-            engine = ctx.engine
-            if engine.sink is not None:
+            sink = ctx.engine.sink
+            if sink is not None:
                 # Bound the round for the causal span recorder; every
                 # rank reports the same round_index (collective branch).
-                engine.sink.emit(PhaseBegin(
+                sink.emit(PhaseBegin(
                     time=ctx.now, rank=ctx.rank, name="sync.resync",
                     algorithm=getattr(self.algorithm, "name", ""),
                     round_index=self.resync_count + 1,
@@ -116,34 +116,23 @@ class ResyncClock(abc.ABC):
             self._clock = yield from self.algorithm.sync_clocks(
                 comm, ctx.hardware_clock
             )
-            if engine.sink is not None:
-                engine.sink.emit(PhaseEnd(
+            if sink is not None:
+                sink.emit(PhaseEnd(
                     time=ctx.now, rank=ctx.rank, name="sync.resync",
                 ))
             self._synced_at = ctx.read_clock(self._clock)
             self.resync_count += 1
             # Recovery is observable: one event + counter tick per round.
-            if engine.profiler is not None:
+            prof = ctx.engine.profiler
+            if prof is not None:
                 # The round's wall time is spread over the engine zones
                 # (the sync traffic yields); count the round itself.
-                engine.profiler.tick("sync.resync.rounds")
-            if engine.sink is not None:
-                engine.sink.emit(ResyncRound(
+                prof.tick("sync.resync.rounds")
+            if sink is not None:
+                sink.emit(ResyncRound(
                     time=ctx.now, rank=ctx.rank,
                     round_index=self.resync_count, age=age,
                 ))
-            if engine.metrics is not None:
-                engine.metrics.counter("resync.rounds", ctx.rank).inc()
-            if engine.timeseries is not None:
-                bank = engine.timeseries
-                if age >= 0.0:
-                    bank.sample("resync.age", ctx.now, age, rank=ctx.rank)
-                # Resync markers segment the drift-excursion detector's
-                # slope fits (see repro.obs.health).
-                bank.mark(
-                    "resync", ctx.now, f"round{self.resync_count}",
-                    rank=ctx.rank,
-                )
         return self._clock
 
 

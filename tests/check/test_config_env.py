@@ -10,7 +10,6 @@ import pytest
 from repro.check import (
     CheckReport,
     SanitizerSink,
-    TeeSink,
     active_check_mode,
     append_report,
     check_report_dir,
@@ -20,7 +19,7 @@ from repro.check import (
     write_aggregate,
 )
 from repro.check.config import DIR_ENV, MODE_ENV
-from repro.obs.events import RecordingSink
+from repro.obs.events import RecordingSink, TeeSink
 from tests.conftest import run_spmd
 
 

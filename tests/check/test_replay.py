@@ -54,6 +54,9 @@ class TestEventRoundTrip:
             ev.ProcWake(time=2.0, rank=0),
             ev.NicQueue(time=1.0, rank=0, node=0, backlog=2.5,
                         inject_time=1.1),
+            ev.MailboxDeposit(time=1.0, rank=0, dest=1, seq=3, depth=2),
+            ev.ModelFit(time=4.0, rank=1, slope=1e-6, intercept=-2e-5,
+                        duration=0.5),
             ev.FaultInject(time=5.0, rank=-1, kind="clock_step",
                            name="ntp", target="node 1", duration=0.0),
             ev.ResyncRound(time=3.0, rank=0, round_index=1, age=0.5),
@@ -84,6 +87,37 @@ class TestEventRoundTrip:
         n = dump_events(events, path)
         assert n == len(events) > 0
         assert list(load_events(path)) == events
+
+    @pytest.mark.parametrize("etype", [ev.MailboxDeposit, ev.ModelFit])
+    def test_metric_records_replay_clean(self, etype, tmp_path):
+        """A live run's mailbox deposits and model fits survive a dump,
+        and the replayed stream checks clean."""
+        from repro.cluster.netmodels import infiniband_qdr
+        from repro.cluster.topology import Machine
+        from repro.simmpi.simulation import Simulation
+        from repro.sync import HCA3Sync
+
+        def body(ctx, comm):
+            # The early send waits in rank 1's mailbox during the sync.
+            if ctx.rank == 0:
+                yield from comm.send(1, 9, size=8)
+            yield from HCA3Sync(nfitpoints=3).sync_clocks(
+                comm, ctx.hardware_clock
+            )
+            if ctx.rank == 1:
+                yield from comm.recv(0, 9)
+
+        sink = RecordingSink()
+        machine = Machine(num_nodes=2, sockets_per_node=1,
+                          cores_per_socket=1, ranks_per_node=1,
+                          name="replaybox")
+        Simulation(machine=machine, network=infiniband_qdr(), seed=2,
+                   sink=sink).run(body)
+        assert sink.of_type(etype)
+        path = tmp_path / "run.jsonl"
+        dump_events(sink.events, path)
+        assert list(load_events(path)) == sink.events
+        assert replay_file(path).ok
 
 
 class TestReplay:

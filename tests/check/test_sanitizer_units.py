@@ -9,10 +9,10 @@ from repro.check import (
     CheckReport,
     InvariantViolation,
     SanitizerSink,
-    TeeSink,
     Violation,
 )
 from repro.obs import events as ev
+from repro.obs.events import TeeSink
 
 
 def send(time=1.0, rank=0, dest=1, tag=5, size=8, seq=0, sync=False):

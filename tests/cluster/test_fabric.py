@@ -94,6 +94,36 @@ class TestFabricInSimulation:
         assert far > near
         assert far - near == pytest.approx(2 * 5e-6, rel=1e-6)
 
+    def test_rendezvous_ack_is_not_fabric_priced(self):
+        """An ssend's data message crosses the torus hop; its ack does not.
+
+        A modelling deviation (DESIGN.md §6): acks skip fabric pricing
+        and NIC serialization, so on a torus an ssend round trip crosses
+        the fabric once.
+        """
+        per_hop = 1e-3
+        machine = Machine(num_nodes=2, sockets_per_node=1,
+                          cores_per_socket=1)
+        network = NetworkModel(
+            levels={Level.REMOTE: LinkParams(latency=1e-6,
+                                             bandwidth=1e12)},
+            o_send=0.0, o_recv=0.0,
+        )
+
+        def main(ctx, comm):
+            if comm.rank == 0:
+                yield from comm.ssend(1, 1, None, 8)
+            else:
+                yield from comm.recv(0, 1)
+            return ctx.now
+
+        sim = Simulation(machine=machine, network=network, seed=0,
+                         fabric=TorusFabric((2,), per_hop_latency=per_hop))
+        acked, delivered = sim.run(main).values
+        wire = 1e-6 + 8 / 1e12
+        assert delivered == pytest.approx(wire + per_hop, rel=1e-12)
+        assert acked - delivered == pytest.approx(wire, rel=1e-9)
+
     def test_flat_fabric_matches_no_fabric(self):
         flat = self._pingpong_rtt(FlatFabric(), 4)
         none = self._pingpong_rtt(None, 4)

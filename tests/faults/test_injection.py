@@ -180,7 +180,7 @@ class TestEngineIntegration:
         sim = make_sim(faults)
         degraded = sim.run(body)
         assert max(degraded.values) > max(clean.values)
-        assert sim.engine.injector.delays_perturbed > 0
+        assert sim.engine.policy.delays_perturbed > 0
 
     def test_directed_link_fault_only_hits_its_direction(self):
         def body(ctx, comm):

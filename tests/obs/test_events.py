@@ -6,8 +6,11 @@ from repro.obs.events import (
     CollectiveExit,
     CountingSink,
     EventSink,
+    MailboxDeposit,
+    ModelFit,
     MsgDeliver,
     MsgSend,
+    NicQueue,
     ProcBlock,
     ProcWake,
     RecordingSink,
@@ -140,3 +143,56 @@ class TestSinks:
             sim.run(body)
         assert len(explicit) > 0
         assert len(ambient) == 0
+
+
+class TestMetricOnlyRecords:
+    """Mailbox deposits, model fits and idle-NIC injections feed the
+    metrics registry and the series bank only: trace and span views
+    are the same with or without them."""
+
+    def _stream(self):
+        from repro.sync import HCA3Sync
+
+        def body(ctx, comm):
+            # The early send queues in a mailbox during the sync.
+            right = (comm.rank + 1) % comm.size
+            yield from comm.send(right, 9, None, 64)
+            yield from HCA3Sync(nfitpoints=3).sync_clocks(
+                comm, ctx.hardware_clock
+            )
+            yield from comm.recv((comm.rank - 1) % comm.size, 9)
+
+        sink = RecordingSink()
+        with default_sink(sink):
+            run_spmd(body, network=infiniband_qdr())
+        return sink.events
+
+    @staticmethod
+    def _metric_only(event):
+        return isinstance(event, (MailboxDeposit, ModelFit)) or (
+            isinstance(event, NicQueue) and event.backlog <= 0.0
+        )
+
+    def test_trace_and_spans_ignore_them(self):
+        from repro.obs.chrome_trace import engine_events_to_chrome
+        from repro.obs.spans import SpanRecorder
+
+        events = self._stream()
+        kept = [e for e in events if not self._metric_only(e)]
+        assert len(kept) < len(events)
+        for cls in (MailboxDeposit, ModelFit, NicQueue):
+            assert any(isinstance(e, cls) for e in events)
+        assert engine_events_to_chrome(events, include_flows=True) == (
+            engine_events_to_chrome(kept, include_flows=True)
+        )
+        views = []
+        for stream in (events, kept):
+            recorder = SpanRecorder()
+            for event in stream:
+                recorder.emit(event)
+            views.append([
+                (run.events, run.t_end, run.end_rank, sorted(run.edges),
+                 run.phases, run.blocks)
+                for run in recorder.runs
+            ])
+        assert views[0] == views[1]

@@ -19,7 +19,7 @@ from repro.scenarios.adversaries import (
     DelayAttackAdversary,
     RegionTopologyAdversary,
 )
-from repro.scenarios.apply import AdversaryInjector, RegionFabric
+from repro.scenarios.apply import AdversaryInjector
 from repro.scenarios.scenario import Scenario
 from repro.simmpi.network import Level
 from repro.simmpi.simulation import Simulation
@@ -221,14 +221,6 @@ class TestRegionHook:
         ) == 2e-6
         assert inj.region_delays_applied == 0
 
-    def test_region_fabric_adapter(self):
-        adv = RegionTopologyAdversary(
-            regions=("NA", "EU"), cross_latency=5e-3
-        )
-        fabric = RegionFabric(adv, num_nodes=4)
-        assert fabric.extra_latency(0, 3) == pytest.approx(5e-3)
-        assert fabric.extra_latency(0, 1) == 0.0
-
 
 class TestEngineIdentity:
     """An inert injector leaves runs byte-identical to no injector."""
@@ -275,4 +267,4 @@ class TestEngineIdentity:
         sim = self._sim(hot)
         degraded = sim.run(self._body)
         assert max(degraded.values) > max(plain.values)
-        assert sim.engine.injector.attack_delays_applied > 0
+        assert sim.engine.policy.attack_delays_applied > 0

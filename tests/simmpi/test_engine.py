@@ -326,7 +326,7 @@ class TestStats:
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        engine = make_engine(metrics=registry)
+        engine = make_engine(sink=registry)
 
         def sender():
             yield SendCmd(dest=1, tag=1, payload="a", size=100)
